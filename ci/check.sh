@@ -24,7 +24,8 @@
 #                        (tools/check_rps_scale.py)
 #   3. sanitize preset — ASan + UBSan, full ctest
 #   4. tsan preset     — ThreadSanitizer on the threaded test binaries
-#                        (ThreadPool, shared prediction cache, query fleet)
+#                        (ThreadPool, shared prediction cache, query fleet,
+#                        FleetPredictor's pooled refit lanes)
 #   5. golden runs     — every golden scenario twice (fresh process each),
 #                        exports diffed byte-for-byte; then once under the
 #                        tsan preset, diffed against the default-preset run
@@ -87,11 +88,11 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 step "tsan preset (ThreadSanitizer) on the threaded tests"
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_concurrency test_sim_thread_pool \
-  test_rps_shared_cache test_query_scale
+  test_rps_shared_cache test_query_scale test_rps_fleet
 # ci/tsan.supp: libstdc++ _Sp_atomic lock-bit false positive (GCC PR101761).
 TSAN_OPTIONS="suppressions=$PWD/ci/tsan.supp" \
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Concurrency|ThreadPool|SharedPredictionCache|QueryScale'
+  -R 'Concurrency|ThreadPool|SharedPredictionCache|QueryScale|FleetPredictor'
 
 step "golden-run determinism: two fresh processes, byte-identical exports"
 GOLDEN_TMP="$(mktemp -d)"

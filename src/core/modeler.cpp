@@ -36,11 +36,9 @@ VirtualTopology Modeler::fetch(const std::vector<net::Ipv4Address>& nodes) {
 VirtualTopology Modeler::topology_query(const std::vector<net::Ipv4Address>& nodes) {
   VirtualTopology topo = fetch(nodes);
   if (!config_.simplify_topology) return topo;
-  VirtualTopology simplified = simplify(topo);
-  // simplify() collapses switch clusters into virtual switches — exactly
-  // the merge step the topology audit exists to guard.
-  audit::audit_topology(simplified);
-  return simplified;
+  // simplify() audits its own result: collapsing switch clusters into
+  // virtual switches is exactly the merge step the topology audit guards.
+  return simplify(topo);
 }
 
 std::vector<FlowInfo> Modeler::flow_query(const FlowQuery& query) {

@@ -63,6 +63,7 @@ class Modeler {
 
   /// Collapse maximal switch/virtual-switch clusters into single virtual
   /// switches; endpoints keep their access-link capacity and utilization.
+  /// The result is audited (audit::audit_topology) before it is returned.
   [[nodiscard]] static VirtualTopology simplify(const VirtualTopology& topo);
 
  private:

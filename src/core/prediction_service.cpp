@@ -72,52 +72,15 @@ void FlowBandwidthSensor::sample() {
 std::optional<rps::Prediction> FlowBandwidthSensor::latest_prediction() const { return latest_; }
 
 PredictionService::PredictionService(Collector& collector, rps::ModelSpec default_spec)
-    : collector_(collector), default_spec_(default_spec), predictor_(default_spec) {}
+    : collector_(collector), predictor_(default_spec) {}
 
 std::optional<rps::Prediction> PredictionService::predict_resource(
     const std::string& resource_id, std::size_t horizon,
     std::optional<rps::ModelSpec> spec) const {
   const sim::MeasurementHistory* hist = collector_.history(resource_id);
   if (hist == nullptr || hist->empty()) return std::nullopt;
-  rps::ClientServerPredictor::Request req;
   const std::vector<double> values = hist->values();
-  req.history = values;
-  req.horizon = horizon;
-  req.spec = spec;
-  try {
-    if (cache_ != nullptr) {
-      const rps::ModelSpec model_spec = spec.value_or(default_spec_);
-      const std::string shape_key = model_spec.to_string() + "#" + std::to_string(horizon);
-      const std::string key = resource_id + "#" + std::to_string(horizon) + "#" +
-                              model_spec.to_string();
-      try {
-        return cache_->get_or_compute(key, [&] {
-          std::optional<rps::ModelTemplate> tmpl;
-          rps::Prediction p = predictor_.predict(req, &tmpl);
-          // compute runs outside the cache lock; publishing the fitted
-          // coefficients to the warm tier here is deadlock-free.
-          if (tmpl) cache_->put_template(shape_key, *tmpl);
-          return p;
-        });
-      } catch (const std::invalid_argument&) {
-        // Too short to fit this resource itself: seed from a same-shape
-        // warm template (fitted on a longer-lived resource) if one exists.
-        if (auto tmpl = cache_->warm_template(shape_key)) {
-          if (auto seeded = rps::model_from_template(*tmpl, values)) {
-            rps::Prediction p = seeded->predict(horizon);
-            cache_->note_seeded();
-            return p;
-          }
-        }
-        return std::nullopt;
-      }
-    }
-    return predictor_.predict(req);
-  } catch (const std::invalid_argument&) {
-    // Too short for the model order: not cached — the next query re-reads
-    // the (by then longer) history.
-    return std::nullopt;
-  }
+  return predictor_.predict({values, horizon, spec}, cache_, resource_id);
 }
 
 }  // namespace remos::core

@@ -100,7 +100,6 @@ class PredictionService {
 
  private:
   Collector& collector_;
-  rps::ModelSpec default_spec_;
   rps::ClientServerPredictor predictor_;
   rps::SharedPredictionCache* cache_ = nullptr;
 };

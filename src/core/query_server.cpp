@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "core/audit.hpp"
 #include "core/modeler.hpp"
 #include "sim/metrics.hpp"
 
@@ -126,9 +125,7 @@ VirtualTopology QueryServer::answer_topology(const QuerySnapshot& snap,
                                              const std::vector<net::Ipv4Address>& nodes) const {
   VirtualTopology spanned = span_topology(snap.topo, nodes);
   if (!config_.simplify_topology) return spanned;
-  VirtualTopology simplified = Modeler::simplify(spanned);
-  audit::audit_topology(simplified);
-  return simplified;
+  return Modeler::simplify(spanned);  // audited inside simplify()
 }
 
 std::vector<FlowInfo> QueryServer::answer_flows(const QuerySnapshot& snap, const FlowQuery& query,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "sim/stats.hpp"
 
@@ -102,22 +101,6 @@ FlowPrediction render_flow_prediction(rps::Prediction pred, const VEdge& bottlen
   return out;
 }
 
-/// Warm-tier fallback: seed a model from a same-shape template fitted on
-/// another series and prime it with this history's samples.
-std::optional<FlowPrediction> seed_from_template(rps::SharedPredictionCache& cache,
-                                                 const std::string& shape_key,
-                                                 std::span<const double> values,
-                                                 const VEdge& bottleneck,
-                                                 const rps::ModelSpec& model,
-                                                 std::size_t horizon) {
-  auto tmpl = cache.warm_template(shape_key);
-  if (!tmpl) return std::nullopt;
-  auto seeded = rps::model_from_template(*tmpl, values);
-  if (seeded == nullptr) return std::nullopt;
-  cache.note_seeded();
-  return render_flow_prediction(seeded->predict(horizon), bottleneck, model);
-}
-
 }  // namespace
 
 std::optional<FlowPrediction> predict_from_history(std::span<const double> values,
@@ -127,45 +110,14 @@ std::optional<FlowPrediction> predict_from_history(std::span<const double> value
                                                    std::size_t horizon,
                                                    std::size_t min_history,
                                                    rps::SharedPredictionCache* cache) {
-  if (values.size() < min_history) {
-    if (cache != nullptr) {
-      const std::string shape_key = model.to_string() + "#" + std::to_string(horizon);
-      return seed_from_template(*cache, shape_key, values, bottleneck, model, horizon);
-    }
-    return std::nullopt;
+  std::optional<rps::Prediction> pred;
+  if (values.size() >= min_history) {
+    pred = predictor.predict({values, horizon, model}, cache, bottleneck.id);
+  } else if (cache != nullptr) {
+    pred = rps::seed_from_template(*cache, model, values, horizon);
   }
-
-  rps::ClientServerPredictor::Request req;
-  req.history = values;
-  req.horizon = horizon;
-  req.spec = model;
-  rps::Prediction pred;
-  if (cache != nullptr) {
-    const std::string shape_key = model.to_string() + "#" + std::to_string(horizon);
-    const std::string key =
-        bottleneck.id + "#" + std::to_string(horizon) + "#" + model.to_string();
-    try {
-      pred = cache->get_or_compute(key, [&] {
-        std::optional<rps::ModelTemplate> tmpl;
-        rps::Prediction p = predictor.predict(req, &tmpl);
-        // Publishing from inside compute is safe: it runs outside the
-        // cache lock, and the template tier has its own keyspace.
-        if (tmpl) cache->put_template(shape_key, *tmpl);
-        return p;
-      });
-    } catch (const std::invalid_argument&) {
-      // Long enough for min_history but too short for this model's order:
-      // fall back to a warm-template seed before giving up.
-      return seed_from_template(*cache, shape_key, values, bottleneck, model, horizon);
-    }
-    return render_flow_prediction(std::move(pred), bottleneck, model);
-  }
-  try {
-    pred = predictor.predict(req);
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;  // history too short for the configured model
-  }
-  return render_flow_prediction(std::move(pred), bottleneck, model);
+  if (!pred) return std::nullopt;
+  return render_flow_prediction(std::move(*pred), bottleneck, model);
 }
 
 }  // namespace remos::core

@@ -99,10 +99,11 @@ using QuerySnapshotPtr = std::shared_ptr<const QuerySnapshot>;
 /// nullopt when the history is shorter than `min_history` or too short for
 /// the model itself.
 ///
-/// With a `cache` attached the fit goes through its tiers: the hot tier
-/// memoizes the fitted prediction per (bottleneck, horizon, model) key and
-/// publishes the fit's coefficients as a spec-shape template; a history too
-/// short to fit is seeded from a same-shape warm template instead of
+/// With a `cache` attached the fit goes through its tiers (the cached
+/// ClientServerPredictor::predict, keyed by the bottleneck's id): the hot
+/// tier memoizes the fitted prediction per (bottleneck, horizon, model) key
+/// and publishes the fit's coefficients as a spec-shape template; a history
+/// too short to fit is seeded from a same-shape warm template instead of
 /// failing. No cache (the default) preserves the historical pure-function
 /// behavior exactly.
 [[nodiscard]] std::optional<FlowPrediction> predict_from_history(

@@ -3,15 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "rps/series.hpp"
-
 namespace remos::rps {
 namespace {
-
-/// The AR fast lane handles exactly what IncrementalArFitter can fit.
-bool ar_lane(const ModelSpec& spec) {
-  return spec.family == ModelSpec::Family::kAr && !spec.use_burg;
-}
 
 FleetConfig sanitize(FleetConfig config) {
   config.window = std::max<std::size_t>(config.window, 1);
@@ -25,73 +18,16 @@ FleetPredictor::FleetPredictor(FleetConfig config) : config_(sanitize(config)) {
 
 FleetPredictor::SeriesId FleetPredictor::add_series(const ModelSpec& spec) {
   const SeriesId id = series_.size();
-  Series s;
-  s.spec = spec;
-  if (ar_lane(spec)) {
-    s.ar = std::make_unique<ArSeries>(spec.p, config_.window, config_.resync_interval);
-  } else {
-    s.gen = std::make_unique<GenericSeries>(config_.window);
-  }
-  series_.push_back(std::move(s));
-  auto [it, fresh] = groups_.try_emplace(spec.to_string());
-  if (fresh) it->second.spec = spec;
-  it->second.members.push_back(id);
+  series_.emplace_back(spec, config_.window, config_.resync_interval);
+  groups_[spec.to_string()].push_back(id);
   return id;
 }
 
 void FleetPredictor::prime(SeriesId id, std::span<const double> history) {
-  Series& s = series_.at(id);
-  if (s.ar != nullptr) {
-    s.ar->fitter.assign(history);
-  } else {
-    s.gen->ring.assign(history);
-  }
+  series_.at(id).prime(history);
 }
 
-void FleetPredictor::observe(SeriesId id, double x) {
-  Series& s = series_[id];
-  if (s.ar != nullptr) {
-    s.ar->fitter.push(x);
-    return;
-  }
-  s.gen->ring.push_sample(x);
-  if (s.gen->fitted) s.gen->model->step(x);
-}
-
-void FleetPredictor::fit_one(Series& s, LaneScratch& lane) {
-  if (s.ar != nullptr) {
-    ArSeries& ar = *s.ar;
-    if (!ar.fitter.fittable()) {
-      ++lane.failures;
-      return;  // too young; keep any previous fit
-    }
-    if (config_.incremental) {
-      ar.fitter.fit_into(ar.fit, lane.ld);
-      ar.mu = ar.fitter.mean();
-    } else {
-      // Full-refit baseline: exact batch recompute, float-identical to the
-      // ArmaModel::fit path (mean + autocovariance + Levinson-Durbin).
-      ar.fitter.samples().copy_to(lane.window);
-      ar.fit = fit_ar_yule_walker(lane.window, s.spec.p);
-      ar.mu = mean(lane.window);
-    }
-    ar.fitted = true;
-    ++lane.refits;
-    return;
-  }
-  GenericSeries& gen = *s.gen;
-  gen.ring.copy_to(lane.window);
-  auto fresh = make_model(s.spec);
-  try {
-    fresh->fit(lane.window);
-  } catch (const std::invalid_argument&) {
-    ++lane.failures;
-    return;  // window too short for this model; keep any previous fit
-  }
-  gen.model = std::move(fresh);
-  gen.fitted = true;
-  ++lane.refits;
-}
+void FleetPredictor::observe(SeriesId id, double x) { series_[id].observe(x); }
 
 void FleetPredictor::refit_all() {
   if (lanes_.size() < config_.max_batch_tasks) lanes_.resize(config_.max_batch_tasks);
@@ -99,12 +35,20 @@ void FleetPredictor::refit_all() {
     lane.refits = 0;
     lane.failures = 0;
   }
-  for (auto& [key, group] : groups_) {
+  const RefitMode mode = config_.incremental ? RefitMode::kIncremental : RefitMode::kFull;
+  for (auto& [key, members] : groups_) {
     auto fit_range = [&](std::size_t task, std::size_t begin, std::size_t end) {
       LaneScratch& lane = lanes_[task];
-      for (std::size_t i = begin; i < end; ++i) fit_one(series_[group.members[i]], lane);
+      for (std::size_t i = begin; i < end; ++i) {
+        // A failed refit means too young: the series keeps any previous fit.
+        if (series_[members[i]].refit(mode, lane.scratch)) {
+          ++lane.refits;
+        } else {
+          ++lane.failures;
+        }
+      }
     };
-    const std::size_t n = group.members.size();
+    const std::size_t n = members.size();
     if (config_.pool != nullptr && config_.max_batch_tasks > 1 &&
         n >= config_.parallel_min_series) {
       // No FleetPredictor lock is held here and lanes take none, so the
@@ -113,7 +57,7 @@ void FleetPredictor::refit_all() {
     } else {
       fit_range(0, 0, n);
     }
-    publish_template(group);
+    publish_template(members);
   }
   std::uint64_t refits = 0;
   std::uint64_t failures = 0;
@@ -125,103 +69,33 @@ void FleetPredictor::refit_all() {
   fit_failures_.fetch_add(failures, std::memory_order_relaxed);
 }
 
-void FleetPredictor::publish_template(const Group& group) {
+void FleetPredictor::publish_template(const std::vector<SeriesId>& members) {
   if (config_.cache == nullptr) return;
   // The lowest-id fitted series decides the group template — a fixed,
   // schedule-independent choice.
-  for (SeriesId id : group.members) {
-    const Series& s = series_[id];
-    if (s.ar != nullptr && s.ar->fitted) {
-      const ModelTemplate tmpl{group.spec, s.ar->fit.phi, {}, s.ar->mu, s.ar->fit.sigma2};
-      config_.cache->put_template(group.spec.to_string(), tmpl);
+  for (SeriesId id : members) {
+    const SeriesCore& s = series_[id];
+    if (!s.fitted()) continue;
+    if (auto tmpl = s.export_template()) {
+      config_.cache->put_template(template_key(s.spec()), *tmpl);
       ++templates_published_;
-      return;
     }
-    if (s.gen != nullptr && s.gen->fitted) {
-      if (auto tmpl = extract_template(*s.gen->model, group.spec)) {
-        config_.cache->put_template(group.spec.to_string(), *tmpl);
-        ++templates_published_;
-      }
-      return;
-    }
+    return;
   }
 }
 
-bool FleetPredictor::fitted(SeriesId id) const {
-  const Series& s = series_.at(id);
-  return s.ar != nullptr ? s.ar->fitted : s.gen->fitted;
-}
-
-void FleetPredictor::predict_ar(const RingWindow& ring, std::span<const double> phi, double mu,
-                                double sigma2, Prediction& out) {
-  const std::size_t horizon = config_.horizon;
-  out.mean.resize(horizon);
-  out.variance.resize(horizon);
-  zhat_scratch_.assign(horizon, 0.0);
-  const std::size_t n = ring.size();
-  // ArmaCore keeps the last max(p, 1) deviations; replicate its
-  // zero-padding so the fast lane is bit-identical to the Model path.
-  const std::size_t keep = std::min(n, std::max<std::size_t>(phi.size(), 1));
-  const auto past_z = [&](std::size_t k) { return k <= keep ? ring[n - k] - mu : 0.0; };
-  for (std::size_t h = 1; h <= horizon; ++h) {
-    double acc = 0.0;
-    for (std::size_t j = 1; j <= phi.size(); ++j) {
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(h) - static_cast<std::ptrdiff_t>(j);
-      acc += phi[j - 1] * (idx >= 1 ? zhat_scratch_[static_cast<std::size_t>(idx - 1)]
-                                    : past_z(static_cast<std::size_t>(1 - idx)));
-    }
-    zhat_scratch_[h - 1] = acc;
-    out.mean[h - 1] = mu + acc;
-  }
-  // psi-weights with theta empty, same operation order as psi_weights().
-  psi_scratch_.assign(horizon, 0.0);
-  if (horizon > 0) psi_scratch_[0] = 1.0;
-  for (std::size_t j = 1; j < horizon; ++j) {
-    double acc = 0.0;
-    const std::size_t kmax = std::min(j, phi.size());
-    for (std::size_t k = 1; k <= kmax; ++k) acc += phi[k - 1] * psi_scratch_[j - k];
-    psi_scratch_[j] = acc;
-  }
-  double cum = 0.0;
-  for (std::size_t h = 0; h < horizon; ++h) {
-    cum += psi_scratch_[h] * psi_scratch_[h];
-    out.variance[h] = sigma2 * cum;
-  }
-}
+bool FleetPredictor::fitted(SeriesId id) const { return series_.at(id).fitted(); }
 
 bool FleetPredictor::predict_into(SeriesId id, Prediction& out) {
-  Series& s = series_.at(id);
-  if (s.ar != nullptr) {
-    if (s.ar->fitted) {
-      predict_ar(s.ar->fitter.samples(), s.ar->fit.phi, s.ar->mu, s.ar->fit.sigma2, out);
-      return true;
-    }
-    if (config_.cache != nullptr) {
-      if (auto tmpl = config_.cache->warm_template(s.spec.to_string());
-          tmpl && tmpl->phi.size() == s.spec.p) {
-        predict_ar(s.ar->fitter.samples(), tmpl->phi, tmpl->mu, tmpl->sigma2, out);
-        config_.cache->note_seeded();
-        ++seeded_predictions_;
-        return true;
-      }
-    }
-    return false;
-  }
-  GenericSeries& gen = *s.gen;
-  if (gen.fitted) {
-    out = gen.model->predict(config_.horizon);
+  const SeriesCore& s = series_.at(id);
+  if (s.fitted()) {
+    s.predict_into(config_.horizon, out, predict_scratch_);
     return true;
   }
-  if (config_.cache != nullptr) {
-    if (auto tmpl = config_.cache->warm_template(s.spec.to_string())) {
-      gen.ring.copy_to(seed_scratch_);
-      if (auto seeded = model_from_template(*tmpl, seed_scratch_)) {
-        out = seeded->predict(config_.horizon);
-        config_.cache->note_seeded();
-        ++seeded_predictions_;
-        return true;
-      }
-    }
+  if (config_.cache != nullptr && s.seed_into(*config_.cache, config_.horizon, out,
+                                              predict_scratch_)) {
+    ++seeded_predictions_;
+    return true;
   }
   return false;
 }

@@ -1,26 +1,21 @@
 // Fleet-scale batched prediction (ROADMAP item 4).
 //
-// One FleetPredictor owns many RPS series and refits them in batches:
-// series are grouped by ModelSpec shape, each group's refits are dispatched
-// over sim::ThreadPool::parallel_ranges (deterministic range boundaries,
-// per-lane scratch arenas — the waterfill pattern), and every series writes
-// only its own slot, so batched results are bit-identical across worker
-// counts.
-//
-// Pure AR Yule-Walker series take the fast lane: an IncrementalArFitter
-// per series makes a refit O(p^2) instead of O(window * p), and prediction
-// runs the AR forecast recursion directly on the ring window — no Model
-// object, no per-series heap churn. Every other family falls back to the
-// generic make_model/fit path inside the same batching machinery.
-// `FleetConfig::incremental = false` switches the AR lane to exact batch
-// recomputation (same float path as ArmaModel::fit) — that is the
-// full-refit baseline the rps-scale bench compares against.
+// One FleetPredictor owns many RPS series — one SeriesCore each, the same
+// window/fit/forecast core a StreamingPredictor wraps — and refits them in
+// batches: series are grouped by ModelSpec shape, each group's refits are
+// dispatched over sim::ThreadPool::parallel_ranges (deterministic range
+// boundaries, per-lane scratch arenas — the waterfill pattern), and every
+// series writes only its own core, so batched results are bit-identical
+// across worker counts. `FleetConfig::incremental` selects the cores'
+// refit mode: incremental sliding-window sums for the AR lane, or exact
+// batch recomputation (false — the full-refit baseline the rps-scale
+// bench compares against).
 //
 // Warm-tier seeding: when a SharedPredictionCache is attached, refit_all
-// publishes each group's fitted coefficients as a spec-shape template
+// publishes each group's fitted coefficients under its template_key
 // (deterministically: the lowest-id fitted series wins), and predictions
 // for series whose own history is still too short are seeded from the
-// group template instead of failing.
+// shape's template instead of failing.
 //
 // Thread safety: externally synchronized — one driver thread calls
 // observe/refit_all/predict_into; refit_all parallelizes internally.
@@ -28,12 +23,11 @@
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "rps/incremental.hpp"
 #include "rps/models.hpp"
+#include "rps/series_core.hpp"
 #include "rps/shared_cache.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -65,13 +59,10 @@ class FleetPredictor {
   [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
 
   /// Seed a series' window from a history (oldest first; keeps the tail).
+  /// Drops the series' fit until the next refit_all.
   void prime(SeriesId id, std::span<const double> history);
 
-  /// Feed one new measurement. O(p) for the AR lane. (Deliberately carries
-  /// no hot annotation itself: the generic lane's virtual Model::step
-  /// dispatch reaches cold refit machinery. The AR fast lane it delegates
-  /// to — IncrementalArFitter push/fit_into, install_ar_fit — carries the
-  /// hot-path discipline.)
+  /// Feed one new measurement. O(p) for the AR lane.
   void observe(SeriesId id, double x);
 
   /// Refit every series, group by group, batched across the pool.
@@ -100,57 +91,23 @@ class FleetPredictor {
   [[nodiscard]] std::uint64_t templates_published() const { return templates_published_; }
 
  private:
-  /// AR fast lane state: fitter + last installed fit, no Model object.
-  struct ArSeries {
-    IncrementalArFitter fitter;
-    ArFit fit;
-    double mu = 0.0;
-    bool fitted = false;
-    ArSeries(std::size_t order, std::size_t window, std::size_t resync)
-        : fitter(order, window, resync) {}
-  };
-  /// Generic lane: ring window + model refitted from a linearized copy.
-  struct GenericSeries {
-    RingWindow ring;
-    std::unique_ptr<Model> model;
-    bool fitted = false;
-    explicit GenericSeries(std::size_t window) : ring(window) {}
-  };
-  struct Series {
-    ModelSpec spec;
-    std::unique_ptr<ArSeries> ar;        // exactly one of ar / gen is set
-    std::unique_ptr<GenericSeries> gen;
-  };
-  struct Group {
-    ModelSpec spec;
-    std::vector<SeriesId> members;  // ascending (append-only id order)
-  };
   /// Private per-lane workspace, indexed by the parallel_ranges task id.
   struct LaneScratch {
-    ArFitScratch ld;
-    std::vector<double> window;  // full-mode / generic linearization
+    SeriesScratch scratch;
     std::uint64_t refits = 0;
     std::uint64_t failures = 0;
   };
 
-  void fit_one(Series& s, LaneScratch& lane);
-  void publish_template(const Group& group);
-  /// AR forecast recursion on the ring window — float-op-for-float-op the
-  /// ArmaCore::predict path with theta empty, so the fast lane stays
-  /// bit-identical to the Model-based path given identical parameters.
-  void predict_ar(const RingWindow& ring, std::span<const double> phi, double mu, double sigma2,
-                  Prediction& out);
+  void publish_template(const std::vector<SeriesId>& members);
 
   /// const: pool lanes read it concurrently during refit_all.
   const FleetConfig config_;
   // remos-analyze: allow(concurrency): pool lanes index disjoint member ranges — parallel_ranges hands each lane a distinct [begin, end) slice of one group's ids and every series writes only its own slot.
-  std::vector<Series> series_;
-  std::map<std::string, Group> groups_;  // spec shape -> members
+  std::vector<SeriesCore> series_;
+  std::map<std::string, std::vector<SeriesId>> groups_;  // spec shape -> ascending ids
   // remos-analyze: allow(concurrency): one private scratch per lane, indexed by the lane's own task id; no element is shared across lanes.
   std::vector<LaneScratch> lanes_;
-  std::vector<double> zhat_scratch_;  // predict recursion workspace
-  std::vector<double> psi_scratch_;   // psi-weight workspace
-  std::vector<double> seed_scratch_;  // generic-lane template seeding
+  SeriesScratch predict_scratch_;
   std::atomic<std::uint64_t> refits_total_{0};
   std::atomic<std::uint64_t> fit_failures_{0};
   std::uint64_t seeded_predictions_ = 0;

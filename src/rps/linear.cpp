@@ -208,16 +208,22 @@ ArmaFit fit_arma_hannan_rissanen(std::span<const double> xs, std::size_t p, std:
 
 std::vector<double> psi_weights(std::span<const double> phi, std::span<const double> theta,
                                 std::size_t count) {
-  std::vector<double> psi(count, 0.0);
-  if (count == 0) return psi;
-  psi[0] = 1.0;
+  std::vector<double> psi;
+  psi_weights_into(phi, theta, count, psi);
+  return psi;
+}
+
+void psi_weights_into(std::span<const double> phi, std::span<const double> theta,
+                      std::size_t count, std::vector<double>& out) {
+  out.assign(count, 0.0);
+  if (count == 0) return;
+  out[0] = 1.0;
   for (std::size_t j = 1; j < count; ++j) {
     double acc = j <= theta.size() ? theta[j - 1] : 0.0;
     const std::size_t kmax = std::min(j, phi.size());
-    for (std::size_t k = 1; k <= kmax; ++k) acc += phi[k - 1] * psi[j - k];
-    psi[j] = acc;
+    for (std::size_t k = 1; k <= kmax; ++k) acc += phi[k - 1] * out[j - k];
+    out[j] = acc;
   }
-  return psi;
 }
 
 }  // namespace remos::rps

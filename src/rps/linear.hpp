@@ -66,6 +66,10 @@ void levinson_durbin_into(std::span<const double> gamma, std::size_t p, ArFit& o
 [[nodiscard]] std::vector<double> psi_weights(std::span<const double> phi,
                                               std::span<const double> theta, std::size_t count);
 
+/// Allocation-free variant: writes into `out` (capacity reused).
+void psi_weights_into(std::span<const double> phi, std::span<const double> theta,
+                      std::size_t count, std::vector<double>& out);
+
 /// Ordinary least squares: solve min ||y - X b||^2 where X is row-major
 /// n x k. Returns b (size k). Uses normal equations with partial-pivot
 /// Gaussian elimination — adequate for the small k used here.

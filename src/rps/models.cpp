@@ -17,6 +17,12 @@ void require_fitted(bool fitted, const char* who) {
   if (!fitted) throw std::logic_error(std::string(who) + ": predict/step before fit");
 }
 
+/// k-steps-back value (k >= 1) of a newest-last state; zero-padded before
+/// history begins.
+double past(std::span<const double> xs, std::size_t k) {
+  return k <= xs.size() ? xs[xs.size() - k] : 0.0;
+}
+
 // ---------------------------------------------------------------------------
 // MEAN — long-term average
 // ---------------------------------------------------------------------------
@@ -163,56 +169,29 @@ class ArmaCore {
     eps_.clear();
   }
 
-  /// Non-owning configure: copies coefficients into the existing vectors
-  /// (capacity reused across refits — the incremental install path).
-  /// Deliberately not named `set`: analyzer call resolution is by name,
-  /// and this runs inside the hot refit-install closure.
-  void set_params(std::span<const double> phi, std::span<const double> theta, double mu,
-                  double sigma2) {
-    phi_.assign(phi.begin(), phi.end());
-    theta_.assign(theta.begin(), theta.end());
-    mu_ = mu;
-    sigma2_ = sigma2;
-    z_.clear();
-    eps_.clear();
-  }
-
   /// Replay a series through the residual recursion to initialize state.
-  /// (Named `replay`, and delegating step -> absorb, so the hot
-  /// refit-install closure never touches the project-wide `prime`/`step`
-  /// name pools in the analyzer's by-name call graph.)
   void replay(std::span<const double> xs) {
-    for (double x : xs) absorb(x);
+    for (double x : xs) step(x);
   }
 
-  void step(double x) { absorb(x); }
+  void step(double x) {
+    const double z = x - mu_;
+    double pred = 0.0;
+    for (std::size_t j = 0; j < phi_.size(); ++j) {
+      pred += phi_[j] * past(z_, j + 1);
+    }
+    for (std::size_t j = 0; j < theta_.size(); ++j) {
+      pred += theta_[j] * past(eps_, j + 1);
+    }
+    const double e = z - pred;
+    push_bounded(z_, z, phi_.size());
+    push_bounded(eps_, e, theta_.size());
+  }
 
   [[nodiscard]] Prediction predict(std::size_t horizon) const {
     Prediction out;
-    out.mean.resize(horizon);
-    out.variance.resize(horizon);
-    std::vector<double> zhat(horizon, 0.0);
-    for (std::size_t h = 1; h <= horizon; ++h) {
-      double acc = 0.0;
-      for (std::size_t j = 1; j <= phi_.size(); ++j) {
-        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(h) - static_cast<std::ptrdiff_t>(j);
-        acc += phi_[j - 1] * (idx >= 1 ? zhat[static_cast<std::size_t>(idx - 1)]
-                                       : past_z(static_cast<std::size_t>(1 - idx)));
-      }
-      for (std::size_t j = 1; j <= theta_.size(); ++j) {
-        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(h) - static_cast<std::ptrdiff_t>(j);
-        // Future innovations forecast to zero; past ones come from state.
-        if (idx < 1) acc += theta_[j - 1] * past_eps(static_cast<std::size_t>(1 - idx));
-      }
-      zhat[h - 1] = acc;
-      out.mean[h - 1] = mu_ + acc;
-    }
-    const std::vector<double> psi = psi_weights(phi_, theta_, horizon);
-    double cum = 0.0;
-    for (std::size_t h = 0; h < horizon; ++h) {
-      cum += psi[h] * psi[h];
-      out.variance[h] = sigma2_ * cum;
-    }
+    ForecastScratch scratch;
+    arma_forecast_into(phi_, theta_, mu_, sigma2_, z_, eps_, horizon, out, scratch);
     return out;
   }
 
@@ -222,36 +201,15 @@ class ArmaCore {
   [[nodiscard]] const std::vector<double>& theta() const { return theta_; }
 
  private:
-  void absorb(double x) {
-    const double z = x - mu_;
-    double pred = 0.0;
-    for (std::size_t j = 0; j < phi_.size(); ++j) {
-      pred += phi_[j] * past_z(j + 1);
-    }
-    for (std::size_t j = 0; j < theta_.size(); ++j) {
-      pred += theta_[j] * past_eps(j + 1);
-    }
-    const double e = z - pred;
-    push_bounded(z_, z, needed_z());
-    push_bounded(eps_, e, theta_.size());
-  }
-
-  [[nodiscard]] std::size_t needed_z() const { return std::max<std::size_t>(phi_.size(), 1); }
-  /// k-steps-back deviation (k >= 1); zero-padded before history begins.
-  [[nodiscard]] double past_z(std::size_t k) const {
-    return k <= z_.size() ? z_[z_.size() - k] : 0.0;
-  }
-  [[nodiscard]] double past_eps(std::size_t k) const {
-    return k <= eps_.size() ? eps_[eps_.size() - k] : 0.0;
-  }
-  static void push_bounded(std::deque<double>& dq, double v, std::size_t cap) {
-    dq.push_back(v);
-    while (dq.size() > std::max<std::size_t>(cap, 1)) dq.pop_front();
+  /// Keep the latest max(cap, 1) values, oldest first.
+  static void push_bounded(std::vector<double>& xs, double v, std::size_t cap) {
+    if (xs.size() >= std::max<std::size_t>(cap, 1)) xs.erase(xs.begin());
+    xs.push_back(v);
   }
 
   std::vector<double> phi_, theta_;
   double mu_ = 0.0, sigma2_ = 0.0;
-  std::deque<double> z_, eps_;
+  std::vector<double> z_, eps_;  // latest deviations / innovations
 };
 
 class ArmaModel final : public Model {
@@ -294,16 +252,10 @@ class ArmaModel final : public Model {
 
   [[nodiscard]] const ArmaCore& core() const { return core_; }
 
-  /// Pure AR shape (no MA terms): the only shape install_ar_fit targets —
-  /// its streaming state is fully determined by the last p deviations.
-  [[nodiscard]] bool pure_ar() const { return q_ == 0; }
-  [[nodiscard]] std::size_t ar_order() const { return p_; }
-
-  /// Install externally fitted parameters and re-prime streaming state
-  /// from `recent` (the series' latest raw samples, oldest first).
-  void adopt(std::span<const double> phi, std::span<const double> theta, double mu, double sigma2,
-             std::span<const double> recent) {
-    core_.set_params(phi, theta, mu, sigma2);
+  /// Install a template's parameters and prime streaming state from
+  /// `recent` (the series' latest raw samples, oldest first).
+  void adopt(const ModelTemplate& tmpl, std::span<const double> recent) {
+    core_.configure(tmpl.phi, tmpl.theta, tmpl.mu, tmpl.sigma2);
     core_.replay(recent);
     fitted_ = true;
   }
@@ -693,16 +645,40 @@ std::unique_ptr<Model> model_from_template(const ModelTemplate& tmpl,
   std::unique_ptr<Model> model = make_model(tmpl.spec);
   auto* arma = dynamic_cast<ArmaModel*>(model.get());
   if (arma == nullptr) return nullptr;
-  arma->adopt(tmpl.phi, tmpl.theta, tmpl.mu, tmpl.sigma2, recent);
+  arma->adopt(tmpl, recent);
   return model;
 }
 
 // remos-hot
-bool install_ar_fit(Model& model, const ArFit& fit, double mu, std::span<const double> recent) {
-  auto* arma = dynamic_cast<ArmaModel*>(&model);
-  if (arma == nullptr || !arma->pure_ar() || arma->ar_order() != fit.phi.size()) return false;
-  arma->adopt(fit.phi, {}, mu, fit.sigma2, recent);
-  return true;
+void arma_forecast_into(std::span<const double> phi, std::span<const double> theta, double mu,
+                        double sigma2, std::span<const double> past_z,
+                        std::span<const double> past_eps, std::size_t horizon, Prediction& out,
+                        ForecastScratch& scratch) {
+  out.mean.resize(horizon);
+  out.variance.resize(horizon);
+  std::vector<double>& zhat = scratch.zhat;
+  zhat.assign(horizon, 0.0);
+  for (std::size_t h = 1; h <= horizon; ++h) {
+    double acc = 0.0;
+    for (std::size_t j = 1; j <= phi.size(); ++j) {
+      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(h) - static_cast<std::ptrdiff_t>(j);
+      acc += phi[j - 1] * (idx >= 1 ? zhat[static_cast<std::size_t>(idx - 1)]
+                                    : past(past_z, static_cast<std::size_t>(1 - idx)));
+    }
+    for (std::size_t j = 1; j <= theta.size(); ++j) {
+      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(h) - static_cast<std::ptrdiff_t>(j);
+      // Future innovations forecast to zero; past ones come from state.
+      if (idx < 1) acc += theta[j - 1] * past(past_eps, static_cast<std::size_t>(1 - idx));
+    }
+    zhat[h - 1] = acc;
+    out.mean[h - 1] = mu + acc;
+  }
+  psi_weights_into(phi, theta, horizon, scratch.psi);
+  double cum = 0.0;
+  for (std::size_t h = 0; h < horizon; ++h) {
+    cum += scratch.psi[h] * scratch.psi[h];
+    out.variance[h] = sigma2 * cum;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -712,30 +688,30 @@ bool install_ar_fit(Model& model, const ArFit& fit, double mu, std::span<const d
 RefittingModel::RefittingModel(ModelSpec inner, std::size_t refit_interval, std::size_t fit_window)
     : spec_(inner),
       refit_interval_(std::max<std::size_t>(refit_interval, 1)),
-      fit_window_(std::max<std::size_t>(fit_window, 2)) {}
+      window_(std::max<std::size_t>(fit_window, 2)) {}
 
 void RefittingModel::fit(std::span<const double> xs) {
-  const std::size_t take = std::min(fit_window_, xs.size());
-  buffer_.assign(xs.end() - static_cast<std::ptrdiff_t>(take), xs.end());
+  window_.assign(xs);
   inner_ = make_model(spec_);
-  inner_->fit(buffer_);
+  inner_->fit(xs.subspan(xs.size() - window_.size()));
   steps_since_fit_ = 0;
   ++refits_;
 }
 
 void RefittingModel::step(double x) {
   require_fitted(fitted(), "REFIT");
-  buffer_.push_back(x);
-  if (buffer_.size() > fit_window_) buffer_.erase(buffer_.begin());
+  window_.push_sample(x);
   inner_->step(x);
   if (++steps_since_fit_ >= refit_interval_) refit_now();
 }
 
 void RefittingModel::refit_now() {
   require_fitted(fitted(), "REFIT");
+  std::vector<double> window;
+  window_.copy_to(window);
   auto fresh = make_model(spec_);
   try {
-    fresh->fit(buffer_);
+    fresh->fit(window);
   } catch (const std::invalid_argument&) {
     // Not enough buffered data for this model order yet; keep the old fit
     // and try again after more samples arrive.
@@ -763,9 +739,9 @@ std::string RefittingModel::name() const {
 }
 
 std::unique_ptr<Model> RefittingModel::clone() const {
-  auto copy = std::make_unique<RefittingModel>(spec_, refit_interval_, fit_window_);
+  auto copy = std::make_unique<RefittingModel>(spec_, refit_interval_, window_.capacity());
   copy->inner_ = inner_ ? inner_->clone() : nullptr;
-  copy->buffer_ = buffer_;
+  copy->window_ = window_;
   copy->steps_since_fit_ = steps_since_fit_;
   copy->refits_ = refits_;
   return copy;

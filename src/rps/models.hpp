@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "rps/incremental.hpp"
 #include "rps/linear.hpp"
 
 namespace remos::rps {
@@ -30,6 +31,23 @@ struct Prediction {
   std::vector<double> mean;
   std::vector<double> variance;
 };
+
+/// Reusable workspace for arma_forecast_into (capacity reused per call).
+struct ForecastScratch {
+  std::vector<double> zhat;  // forecast deviations, steps 1..horizon
+  std::vector<double> psi;   // psi-weights, lags 0..horizon-1
+};
+
+/// The ARMA forecast recursion every linear model and the AR series lane
+/// share: mean[h] = mu + zhat[h] with future innovations forecast to zero,
+/// and variance[h] = sigma2 * sum_{j<=h} psi_j^2. `past_z` / `past_eps` are
+/// the latest deviations (x - mu) / innovations, oldest first; lags beyond
+/// their length read as zero. Allocation-free in steady state.
+// remos-hot
+void arma_forecast_into(std::span<const double> phi, std::span<const double> theta, double mu,
+                        double sigma2, std::span<const double> past_z,
+                        std::span<const double> past_eps, std::size_t horizon, Prediction& out,
+                        ForecastScratch& scratch);
 
 class Model {
  public:
@@ -103,17 +121,6 @@ struct ModelTemplate {
 [[nodiscard]] std::unique_ptr<Model> model_from_template(const ModelTemplate& tmpl,
                                                          std::span<const double> recent);
 
-/// Install an incremental AR fit into an existing pure-AR model without
-/// re-allocating it: sets (phi, mu, sigma2) and re-primes the recursion
-/// state from `recent`. For a pure AR model the streaming state after
-/// priming on the last max(p, 1) raw samples is identical to a full
-/// fit-window replay (the predict recursion only reads the last p
-/// deviations; innovations are unused when theta is empty). Returns false
-/// (model untouched) when `model` is not a pure-AR linear model.
-// remos-hot
-bool install_ar_fit(Model& model, const ArFit& fit, double mu,
-                    std::span<const double> recent);
-
 /// Wrap any spec in the periodic-refit template: the returned model keeps a
 /// rolling window of `fit_window` observations and refits its inner model
 /// every `refit_interval` steps (and whenever refit() is forced).
@@ -137,9 +144,8 @@ class RefittingModel final : public Model {
  private:
   ModelSpec spec_;
   std::size_t refit_interval_;
-  std::size_t fit_window_;
   std::unique_ptr<Model> inner_;
-  std::vector<double> buffer_;  // rolling fit window
+  RingWindow window_;  // rolling fit window
   std::size_t steps_since_fit_ = 0;
   std::size_t refits_ = 0;
 };

@@ -1,91 +1,47 @@
 #include "rps/predictor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+
+#include "rps/shared_cache.hpp"
 
 namespace remos::rps {
 
-namespace {
-
-/// Only pure AR Yule-Walker specs can take the incremental-install path:
-/// Burg fits from the raw samples (no autocovariance sums to maintain) and
-/// every other family needs a full recompute.
-bool incremental_eligible(const ModelSpec& spec, const StreamingConfig& config) {
-  return config.incremental_fit && spec.family == ModelSpec::Family::kAr && !spec.use_burg;
-}
-
-}  // namespace
-
 StreamingPredictor::StreamingPredictor(ModelSpec spec, StreamingConfig config)
-    : spec_(spec),
-      config_(config),
+    : config_(config),
+      mode_(config.incremental_fit ? RefitMode::kIncremental : RefitMode::kFull),
       evaluator_(config.evaluator),
-      fitter_(incremental_eligible(spec, config) ? spec.p : 0,
-              std::max<std::size_t>(config.fit_window, 1), config.resync_interval),
-      use_incremental_(incremental_eligible(spec, config)) {}
+      core_(spec, config.fit_window, config.resync_interval) {}
 
 void StreamingPredictor::prime(std::span<const double> history) {
-  const std::size_t take = std::min(config_.fit_window, history.size());
-  const std::span<const double> tail = history.subspan(history.size() - take);
-  fitter_.assign(tail);
-  model_ = make_model(spec_);
-  model_->fit(tail);
+  core_.fit_history(history);
   evaluator_.reset();
   refits_ = 1;
-}
-
-std::span<const double> StreamingPredictor::recent_samples() {
-  const RingWindow& ring = fitter_.samples();
-  const std::size_t want = std::max<std::size_t>(spec_.p, 1);
-  const std::size_t take = std::min(want, ring.size());
-  recent_scratch_.resize(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    recent_scratch_[i] = ring[ring.size() - take + i];
-  }
-  return recent_scratch_;
-}
-
-void StreamingPredictor::refit() {
-  if (use_incremental_) {
-    if (!fitter_.fittable()) return;  // window too short; keep the current fit
-    fitter_.fit_into(fit_scratch_, ld_scratch_);
-    if (install_ar_fit(*model_, fit_scratch_, fitter_.mean(), recent_samples())) {
-      evaluator_.reset();
-      ++refits_;
-      ++incremental_refits_;
-      return;
-    }
-    // Unexpected model shape: fall through to the full-recompute path.
-  }
-  auto fresh = make_model(spec_);
-  fitter_.samples().copy_to(window_scratch_);
-  try {
-    fresh->fit(window_scratch_);
-  } catch (const std::invalid_argument&) {
-    return;  // buffer too short for the model order; keep the current fit
-  }
-  model_ = std::move(fresh);
-  evaluator_.reset();
-  ++refits_;
 }
 
 Prediction StreamingPredictor::push(double measurement) {
   if (!primed()) throw std::logic_error("StreamingPredictor: push before prime");
   ++steps_;
   evaluator_.observe(measurement);
-  fitter_.push(measurement);
-  model_->step(measurement);
-  if (config_.refit_on_error && evaluator_.needs_refit(model_->one_step_variance())) {
-    refit();
+  core_.observe(measurement);
+  // A refit that finds the window too short keeps the current fit.
+  if (config_.refit_on_error && evaluator_.needs_refit(core_.one_step_variance()) &&
+      core_.refit(mode_, scratch_)) {
+    evaluator_.reset();
+    ++refits_;
+    if (mode_ == RefitMode::kIncremental && core_.ar_lane()) ++incremental_refits_;
   }
-  Prediction p = model_->predict(config_.horizon);
+  Prediction p;
+  core_.predict_into(config_.horizon, p, scratch_);
   if (!p.mean.empty()) evaluator_.note_prediction(p.mean.front());
   return p;
 }
 
 Prediction StreamingPredictor::predict() const {
   if (!primed()) throw std::logic_error("StreamingPredictor: predict before prime");
-  return model_->predict(config_.horizon);
+  Prediction p;
+  SeriesScratch scratch;
+  core_.predict_into(config_.horizon, p, scratch);
+  return p;
 }
 
 ClientServerPredictor::ClientServerPredictor(ModelSpec default_spec)
@@ -103,6 +59,36 @@ Prediction ClientServerPredictor::predict(const Request& request,
   model->fit(request.history);
   if (template_out != nullptr) *template_out = extract_template(*model, spec);
   return model->predict(request.horizon);
+}
+
+std::optional<Prediction> ClientServerPredictor::predict(const Request& request,
+                                                         SharedPredictionCache* cache,
+                                                         const std::string& resource_key) const {
+  if (cache == nullptr) {
+    try {
+      return predict(request);
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;  // history too short for the model
+    }
+  }
+  const ModelSpec spec = request.spec.value_or(default_spec_);
+  const std::string key =
+      resource_key + "#" + std::to_string(request.horizon) + "#" + spec.to_string();
+  try {
+    return cache->get_or_compute(key, [&] {
+      std::optional<ModelTemplate> tmpl;
+      Prediction p = predict(request, &tmpl);
+      // compute runs outside the cache lock, and the template tier has its
+      // own keyspace, so publishing from inside it is deadlock-free.
+      if (tmpl) cache->put_template(template_key(spec), *tmpl);
+      return p;
+    });
+  } catch (const std::invalid_argument&) {
+    // Too short to fit this series itself: seed from a same-shape warm
+    // template fitted on a longer-lived one. Failures are never cached, so
+    // the next query re-reads the (by then longer) history.
+    return seed_from_template(*cache, spec, request.history, request.horizon);
+  }
 }
 
 }  // namespace remos::rps

@@ -1,24 +1,28 @@
 // The two RPS operating modes the paper describes (§2.3):
 //
 //  * StreamingPredictor — stateful: one model fit is amortized over many
-//    predictions; each new measurement is pushed through the fitted model
-//    (step/predict), with evaluator feedback triggering refits when the fit
-//    stops holding.
+//    predictions; each new measurement is pushed through one SeriesCore
+//    (the window/fit/forecast core FleetPredictor batches), with evaluator
+//    feedback triggering refits when the fit stops holding.
 //  * ClientServerPredictor — stateless: every request carries a measurement
 //    history, is fitted from scratch, and returns a vector of predictions.
 //    "The advantage of the client-server form is that it is stateless,
 //    while the advantage of the streaming mode is that a single model
 //    fitting operation can be amortized over multiple predictions."
+//    Its cached form is the one server-side fit: hot-tier memoization,
+//    warm-template publication and seeding all live in that one overload.
 #pragma once
 
 #include <atomic>
-#include <memory>
+#include <string>
 
 #include "rps/evaluator.hpp"
-#include "rps/incremental.hpp"
 #include "rps/models.hpp"
+#include "rps/series_core.hpp"
 
 namespace remos::rps {
+
+class SharedPredictionCache;
 
 struct StreamingConfig {
   std::size_t horizon = 30;     // steps ahead per prediction
@@ -39,9 +43,10 @@ class StreamingPredictor {
  public:
   StreamingPredictor(ModelSpec spec, StreamingConfig config = {});
 
-  /// Initial fit from a measurement history (oldest first).
+  /// Initial fit from a measurement history (oldest first). Throws
+  /// std::invalid_argument when the history is too short for the model.
   void prime(std::span<const double> history);
-  [[nodiscard]] bool primed() const { return model_ != nullptr && model_->fitted(); }
+  [[nodiscard]] bool primed() const { return core_.fitted(); }
 
   /// Feed one new measurement; returns the refreshed multi-step forecast.
   Prediction push(double measurement);
@@ -51,35 +56,25 @@ class StreamingPredictor {
 
   [[nodiscard]] const Evaluator& evaluator() const { return evaluator_; }
   [[nodiscard]] std::size_t refit_count() const { return refits_; }
-  [[nodiscard]] const Model& model() const { return *model_; }
   [[nodiscard]] std::uint64_t steps() const { return steps_; }
 
-  /// How many refits took the O(p^2) incremental-install path (the rest
-  /// were full recomputes).
+  /// How many refits took the O(p^2) incremental path (the rest were full
+  /// recomputes).
   [[nodiscard]] std::size_t incremental_refit_count() const { return incremental_refits_; }
   /// Existing-element copies performed by the fit window across the
   /// predictor's lifetime. The ring makes push() zero-move; only prime()
   /// and full-refit linearization copy, so tests can pin the complexity
   /// contract (the old vector buffer moved window-1 elements per push).
-  [[nodiscard]] std::uint64_t fit_buffer_moves() const { return fitter_.element_moves(); }
+  [[nodiscard]] std::uint64_t fit_buffer_moves() const { return core_.fitter().element_moves(); }
   /// Exact-recompute resyncs performed by the incremental fitter.
-  [[nodiscard]] std::uint64_t resync_count() const { return fitter_.resyncs(); }
+  [[nodiscard]] std::uint64_t resync_count() const { return core_.fitter().resyncs(); }
 
  private:
-  void refit();
-  /// Last max(p, 1) window samples, oldest first (streaming-state seed).
-  [[nodiscard]] std::span<const double> recent_samples();
-
-  ModelSpec spec_;
   StreamingConfig config_;
-  std::unique_ptr<Model> model_;
+  RefitMode mode_;
   Evaluator evaluator_;
-  IncrementalArFitter fitter_;  // fit window ring + running sums
-  bool use_incremental_;
-  std::vector<double> window_scratch_;  // full-refit linearization scratch
-  std::vector<double> recent_scratch_;  // streaming-state seed scratch
-  ArFit fit_scratch_;
-  ArFitScratch ld_scratch_;
+  SeriesCore core_;
+  SeriesScratch scratch_;
   std::size_t refits_ = 0;
   std::size_t incremental_refits_ = 0;
   std::uint64_t steps_ = 0;
@@ -107,6 +102,16 @@ class ClientServerPredictor {
   /// As above, but also exposes the fitted model's parameters as a warm
   /// cache template (nullopt for families templates cannot capture).
   Prediction predict(const Request& request, std::optional<ModelTemplate>* template_out) const;
+
+  /// The cached server-side fit. With `cache` attached, the hot tier
+  /// memoizes the prediction per (resource_key, horizon, model), each fit
+  /// publishes its coefficients under the model's template_key, and a
+  /// history too short for the model is seeded from that shape's warm
+  /// template instead. Without a cache this is predict(request). nullopt
+  /// when neither a fit nor a seed can answer.
+  [[nodiscard]] std::optional<Prediction> predict(const Request& request,
+                                                  SharedPredictionCache* cache,
+                                                  const std::string& resource_key) const;
   [[nodiscard]] std::uint64_t requests_served() const {
     return served_.load(std::memory_order_relaxed);
   }

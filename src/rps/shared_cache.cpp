@@ -7,6 +7,8 @@
 
 namespace remos::rps {
 
+std::string template_key(const ModelSpec& spec) { return spec.to_string(); }
+
 SharedPredictionCache::SharedPredictionCache(double ttl_s, std::function<double()> now,
                                              double warm_ttl_s)
     : ttl_s_(ttl_s), warm_ttl_s_(warm_ttl_s > 0.0 ? warm_ttl_s : 8.0 * ttl_s),
@@ -121,6 +123,17 @@ void SharedPredictionCache::note_seeded() {
   std::lock_guard lock(mu_);
   ++seeds_;
   sim::metrics().counter("rps.prediction_cache.seeds_total").inc();
+}
+
+std::optional<Prediction> seed_from_template(SharedPredictionCache& cache, const ModelSpec& spec,
+                                             std::span<const double> recent,
+                                             std::size_t horizon) {
+  const std::optional<ModelTemplate> tmpl = cache.warm_template(template_key(spec));
+  if (!tmpl) return std::nullopt;
+  const std::unique_ptr<Model> seeded = model_from_template(*tmpl, recent);
+  if (seeded == nullptr) return std::nullopt;
+  cache.note_seeded();
+  return seeded->predict(horizon);
 }
 
 }  // namespace remos::rps

@@ -43,11 +43,17 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "rps/models.hpp"
 
 namespace remos::rps {
+
+/// Warm-tier key of a spec's shape. Templates carry no horizon, so every
+/// publisher and seeder (fleets, query servers, prediction services) keys
+/// by this alone and they seed one another through a shared cache.
+[[nodiscard]] std::string template_key(const ModelSpec& spec);
 
 class SharedPredictionCache {
  public:
@@ -161,5 +167,14 @@ class SharedPredictionCache {
   std::uint64_t seeds_ = 0;
   std::uint64_t templates_stored_ = 0;
 };
+
+/// Warm-tier fallback for a series too short to fit: forecast `horizon`
+/// steps from `cache`'s template for `spec`'s shape, primed from `recent`
+/// (the series' samples, oldest first). Counts the seed; nullopt when no
+/// template can seed.
+[[nodiscard]] std::optional<Prediction> seed_from_template(SharedPredictionCache& cache,
+                                                           const ModelSpec& spec,
+                                                           std::span<const double> recent,
+                                                           std::size_t horizon);
 
 }  // namespace remos::rps

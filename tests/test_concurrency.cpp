@@ -56,17 +56,24 @@ TEST(SharedCacheConcurrency, MixedReadersWritersInvalidators) {
   std::atomic<double> now{0.0};
   rps::SharedPredictionCache cache(0.5, [&] { return now.load(); });
   std::atomic<bool> stop{false};
+  std::atomic<int> readers_running{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&, t] {
       const std::string key = "edge-" + std::to_string(t);
+      bool first = true;
       while (!stop.load()) {
         (void)cache.get_or_compute(key, [&] { return make_prediction(t); });
         if (auto p = cache.peek(key)) EXPECT_DOUBLE_EQ(p->mean[0], t);
+        if (first) readers_running.fetch_add(1);
+        first = false;
       }
     });
   }
   threads.emplace_back([&] {
+    // Invalidate only while every reader is live: on a loaded machine the
+    // readers may otherwise not be scheduled before this loop finishes.
+    while (readers_running.load() < 3) std::this_thread::yield();
     for (int i = 0; i < 500; ++i) {
       now.store(now.load() + 0.01);
       cache.invalidate("edge-" + std::to_string(i % 3));

@@ -5,6 +5,7 @@
 #include "apps/testbed.hpp"
 #include "core/prediction_service.hpp"
 #include "core/query_server.hpp"
+#include "rps/fleet.hpp"
 #include "rps/shared_cache.hpp"
 
 namespace remos::core {
@@ -164,7 +165,47 @@ TEST(PredictFromHistory, HotTierMemoizesAndPublishesTemplate) {
   EXPECT_EQ(cache.hits(), 1u);
   // The fit published its coefficients as a spec-shape warm template.
   EXPECT_EQ(cache.templates_stored(), 1u);
-  EXPECT_TRUE(cache.warm_template(model.to_string() + "#8").has_value());
+  EXPECT_TRUE(cache.warm_template(rps::template_key(model)).has_value());
+}
+
+TEST(PredictionService, FleetTemplateSeedsShortHistory) {
+  // Templates carry no horizon, so a fleet and a prediction service that
+  // share one cache key the warm tier alike and seed each other.
+  LanTestbed::Params p;
+  p.hosts = 2;
+  p.switches = 1;
+  LanTestbed lan(p);
+  const auto resp = lan.collector->query(lan.host_addrs(2));
+  lan.engine.advance(5.0 * 6);
+  std::string young;
+  for (const VEdge& e : resp.topology.edges()) {
+    const sim::MeasurementHistory* h = lan.collector->history(e.id);
+    if (h != nullptr && !h->empty()) {
+      young = e.id;
+      break;
+    }
+  }
+  ASSERT_FALSE(young.empty());
+  ASSERT_LE(lan.collector->history(young)->size(), 17u);  // too short for AR(16)
+
+  rps::SharedPredictionCache cache(3600.0, [] { return 0.0; });
+  PredictionService service(*lan.collector, rps::ModelSpec::ar(16));
+  service.set_cache(&cache);
+  EXPECT_FALSE(service.predict_resource(young, 5).has_value());
+
+  rps::FleetConfig cfg;
+  cfg.window = 64;
+  cfg.cache = &cache;
+  rps::FleetPredictor fleet(cfg);
+  const auto id = fleet.add_series(rps::ModelSpec::ar(16));
+  fleet.prime(id, bandwidth_history(64));
+  fleet.refit_all();
+  ASSERT_EQ(fleet.templates_published(), 1u);
+
+  const auto seeded = service.predict_resource(young, 5);
+  ASSERT_TRUE(seeded.has_value());
+  EXPECT_EQ(seeded->mean.size(), 5u);
+  EXPECT_EQ(cache.seeds(), 1u);
 }
 
 TEST(PredictFromHistory, ShortHistorySeedsFromWarmTemplate) {

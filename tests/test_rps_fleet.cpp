@@ -1,15 +1,18 @@
 // FleetPredictor: batched same-shape refits over the thread pool,
-// incremental AR fast lane, and warm-tier template seeding. The
-// load-bearing claims: results are bit-identical across worker counts, the
-// full-refit mode is float-identical to the ArmaModel path, and the
-// incremental mode stays inside the documented 1e-9 contract.
+// incremental AR lane, and warm-tier template seeding. The load-bearing
+// claims: results are bit-identical across worker counts, the full-refit
+// mode is float-identical to the ArmaModel path and to a StreamingPredictor
+// (both wrap one SeriesCore), and the incremental mode stays inside the
+// documented 1e-9 contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "rps/fleet.hpp"
 #include "rps/models.hpp"
+#include "rps/predictor.hpp"
 #include "rps/shared_cache.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
@@ -51,6 +54,44 @@ TEST(FleetPredictor, FullModeBitIdenticalToArmaModel) {
   const Prediction want = model->predict(horizon);
   EXPECT_EQ(got.mean, want.mean);
   EXPECT_EQ(got.variance, want.variance);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(FleetPredictor, MatchesStreamingPredictorBitForBit) {
+  // Both owners wrap the same series core: a streaming predictor without
+  // error refits and a one-series fleet refitted once after its prime must
+  // forecast identically, step after step.
+  const std::size_t window = 128;
+  const std::size_t horizon = 12;
+  for (const ModelSpec& spec : {ModelSpec::ar(8), ModelSpec::mean(), ModelSpec::arma(2, 2)}) {
+    StreamingConfig scfg;
+    scfg.fit_window = window;
+    scfg.horizon = horizon;
+    scfg.refit_on_error = false;
+    StreamingPredictor streaming(spec, scfg);
+    FleetConfig fcfg;
+    fcfg.window = window;
+    fcfg.horizon = horizon;
+    fcfg.incremental = false;
+    FleetPredictor fleet(fcfg);
+    const auto id = fleet.add_series(spec);
+
+    const std::vector<double> hist = series_history(7, window + 600);
+    const std::span<const double> prime = std::span<const double>(hist).subspan(0, window);
+    streaming.prime(prime);
+    fleet.prime(id, prime);
+    fleet.refit_all();
+    for (std::size_t t = window; t < hist.size(); ++t) {
+      const Prediction a = streaming.push(hist[t]);
+      fleet.observe(id, hist[t]);
+      const Prediction b = fleet.predict(id);
+      ASSERT_TRUE(same_bits(a.mean, b.mean)) << spec.to_string() << " t=" << t;
+      ASSERT_TRUE(same_bits(a.variance, b.variance)) << spec.to_string() << " t=" << t;
+    }
+  }
 }
 
 TEST(FleetPredictor, BitIdenticalAcrossWorkerCounts) {

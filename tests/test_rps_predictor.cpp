@@ -143,7 +143,7 @@ TEST(StreamingPredictor, PushMovesNoBufferElements) {
 }
 
 TEST(StreamingPredictor, IncrementalMatchesFullRefitPath) {
-  // Same spec, same data, evaluator-forced refits: the incremental-install
+  // Same spec, same data, evaluator-forced refits: the incremental
   // path must track the full-recompute path within the documented 1e-9
   // contract (compounded through the forecast recursion; 1e-8 headroom).
   const auto prime = ar1_series(0.7, 300, 23, /*mu=*/50.0);
