@@ -1,14 +1,14 @@
-// Query serving at scale (ROADMAP item 1): client fleets of 1k-100k
-// simulated concurrent queries against one QueryServer over a warmed
-// multi-site WAN, snapshot path vs the retained mutex path.
+// Query serving at scale: client fleets of 1k-100k simulated concurrent
+// queries against one QueryServer over a warmed multi-site WAN, snapshot
+// path vs the harness's mutex baseline.
 //
 // The mutex rows ARE the pre-snapshot cost model (one global lock and one
-// collector fetch per query — exactly what Modeler queries cost before
-// epoch publication landed), re-measured live so the comparison is always
-// against this machine. baseline_qps_for() additionally embeds the values
-// measured on the reference container at the PR that introduced the
-// snapshot path, so later regressions in either path are visible against
-// a fixed point.
+// full-universe collector fetch per query, then the answer on that fresh
+// epoch — fleet::answer_query with `locked`, tests/query_fleet.hpp),
+// re-measured live so the comparison is always against this machine.
+// baseline_qps_for() additionally embeds the values measured on the
+// reference container at the PR that introduced the snapshot path, so
+// later regressions in either path are visible against a fixed point.
 //
 // Timing lives in tests/query_fleet.hpp (the fleet harness measures
 // per-query latency + fleet wall time); this file only shapes workloads

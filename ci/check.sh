@@ -13,9 +13,11 @@
 #                        bench/waterfill_rounds.json (tools/check_waterfill.py)
 #   2b. query-smoke    — micro_query_scale --smoke; workload shape and the
 #                        QueryServer's coalescing counters must match the
-#                        pins in bench/query_scale_pins.json, and the
-#                        snapshot path must hold its >=3x throughput edge
-#                        over the mutex path (tools/check_query_scale.py)
+#                        pins in bench/query_scale_pins.json, the mutex
+#                        rows must recompute every flow/predict query (no
+#                        coalesce hits), and the snapshot path must hold
+#                        its >=3x throughput edge over that mutex baseline
+#                        (tools/check_query_scale.py)
 #   2c. rps-smoke      — micro_rps_scale --smoke; fleet shape and the
 #                        FleetPredictor/warm-tier counters must match the
 #                        pins in bench/rps_scale_pins.json, and the
@@ -68,7 +70,7 @@ cmake --build build -j "$JOBS" --target micro_waterfill
 python3 tools/check_waterfill.py --measured build/BENCH_waterfill_smoke.json \
   --pins bench/waterfill_rounds.json
 
-step "query-smoke: snapshot-path coalescing counters + speedup vs pins"
+step "query-smoke: coalescing counters, mutex-baseline recompute + speedup vs pins"
 cmake --build build -j "$JOBS" --target micro_query_scale
 ./build/bench/micro_query_scale --smoke --out build/BENCH_query_scale_smoke.json
 python3 tools/check_query_scale.py --measured build/BENCH_query_scale_smoke.json \

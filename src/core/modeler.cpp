@@ -2,19 +2,18 @@
 
 #include "core/audit.hpp"
 #include "core/obs.hpp"
-#include "core/query_snapshot.hpp"
 
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <stdexcept>
 
 namespace remos::core {
 
 Modeler::Modeler(Collector& collector, ModelerConfig config)
     : collector_(collector), config_(std::move(config)), predictor_(config_.prediction_model) {}
 
-VirtualTopology Modeler::fetch(const std::vector<net::Ipv4Address>& nodes) {
+QuerySnapshot Modeler::fetch(const std::vector<net::Ipv4Address>& nodes,
+                             std::size_t history_window) {
   auto sp = obs::span("modeler.fetch");
   sp.attr("nodes", nodes.size());
   // Deduplicate while preserving order (collectors key caches on pairs).
@@ -22,19 +21,19 @@ VirtualTopology Modeler::fetch(const std::vector<net::Ipv4Address>& nodes) {
   for (net::Ipv4Address a : nodes) {
     if (std::find(unique.begin(), unique.end(), a) == unique.end()) unique.push_back(a);
   }
-  CollectorResponse resp = collector_.query(unique);
-  last_cost_s_ = resp.cost_s;
-  last_complete_ = resp.complete;
-  last_staleness_s_ = resp.max_staleness_s;
+  QuerySnapshot snap = fetch_snapshot(collector_, unique, history_window);
+  last_cost_s_ = snap.cost_s;
+  last_complete_ = snap.complete;
+  last_staleness_s_ = snap.staleness_s;
   sim::metrics().counter("core.modeler.queries_total").inc();
   // Virtual response time of the underlying collector query — the quantity
   // Fig 3/Fig 5 measure per scenario, pinned here as a distribution.
-  sim::metrics().histogram("core.modeler.query_latency_s").observe(resp.cost_s);
-  return std::move(resp.topology);
+  sim::metrics().histogram("core.modeler.query_latency_s").observe(snap.cost_s);
+  return snap;
 }
 
 VirtualTopology Modeler::topology_query(const std::vector<net::Ipv4Address>& nodes) {
-  VirtualTopology topo = fetch(nodes);
+  VirtualTopology topo = fetch(nodes, 0).topo;
   if (!config_.simplify_topology) return topo;
   // simplify() audits its own result: collapsing switch clusters into
   // virtual switches is exactly the merge step the topology audit guards.
@@ -47,8 +46,8 @@ std::vector<FlowInfo> Modeler::flow_query(const FlowQuery& query) {
     endpoints.push_back(f.src);
     endpoints.push_back(f.dst);
   }
-  const VirtualTopology topo = fetch(endpoints);
-  return max_min_allocate(topo, query.flows, maxmin_scratch_).flows;
+  const QuerySnapshot snap = fetch(endpoints, 0);
+  return max_min_allocate(snap.topo, query.flows, maxmin_scratch_).flows;
 }
 
 FlowInfo Modeler::flow_info(net::Ipv4Address src, net::Ipv4Address dst) {
@@ -61,27 +60,11 @@ FlowInfo Modeler::flow_info(net::Ipv4Address src, net::Ipv4Address dst) {
 std::optional<FlowPrediction> Modeler::predict_flow(const FlowRequest& request,
                                                     std::size_t horizon) {
   if (horizon == 0) horizon = config_.prediction_horizon;
-  const VirtualTopology topo = fetch({request.src, request.dst});
-  const FlowInfo info = single_flow_info(topo, request, maxmin_scratch_);
-  if (!info.routable()) return std::nullopt;
-
-  // Bottleneck edge (minimum available bandwidth along the path), binding
-  // history direction, and the fit + utilization-to-available conversion
-  // are shared with the snapshot query path (core/query_snapshot.hpp) so
-  // the two serving paths cannot drift apart.
-  const VEdge* bottleneck = bottleneck_edge(topo, info);
-  if (bottleneck == nullptr) return std::nullopt;
-
-  const sim::MeasurementHistory* h_ab = collector_.history(bottleneck->id);
-  const sim::MeasurementHistory* h_ba = collector_.history(bottleneck->id + ":ba");
-  std::optional<std::vector<double>> v_ab, v_ba;
-  if (h_ab != nullptr) v_ab = h_ab->values();
-  if (h_ba != nullptr) v_ba = h_ba->values();
-  const std::vector<double>* hist =
-      choose_history(v_ab ? &*v_ab : nullptr, v_ba ? &*v_ba : nullptr);
-  if (hist == nullptr) return std::nullopt;
-  return predict_from_history(*hist, *bottleneck, predictor_, config_.prediction_model, horizon,
-                              config_.min_history);
+  // Unbounded window: the fit sees each edge's whole measurement history.
+  const QuerySnapshot snap =
+      fetch({request.src, request.dst}, std::numeric_limits<std::size_t>::max());
+  return answer_predict(snap, request, horizon, predictor_, config_.prediction_model,
+                        config_.min_history, /*cache=*/nullptr, maxmin_scratch_);
 }
 
 VirtualTopology Modeler::simplify(const VirtualTopology& topo) {

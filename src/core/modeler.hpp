@@ -6,12 +6,20 @@
 // (virtual-switch simplification), answers flow queries with max-min flow
 // calculations, and acts as the intermediary to the RPS prediction service
 // when predictions are requested.
+//
+// The Modeler is a thin adapter over the snapshot answer functions
+// (core/query_snapshot.hpp) that QueryServer serves from too: each query
+// fetches an ephemeral QuerySnapshot of just the nodes it names, then
+// answers over it exactly as QueryServer answers over its published
+// universe snapshot. The two front-ends differ only in when the fetch
+// happens — per query here, once per epoch there.
 #pragma once
 
 #include <optional>
 
 #include "core/collector.hpp"
 #include "core/maxmin.hpp"
+#include "core/query_snapshot.hpp"
 #include "core/types.hpp"
 #include "rps/predictor.hpp"
 
@@ -49,7 +57,8 @@ class Modeler {
   [[nodiscard]] FlowInfo flow_info(net::Ipv4Address src, net::Ipv4Address dst);
 
   /// Future available bandwidth of a flow's bottleneck, via the RPS
-  /// client-server interface over the collector's measurement history.
+  /// client-server interface over the collector's whole measurement
+  /// history of the binding direction (empty histories are skipped).
   [[nodiscard]] std::optional<FlowPrediction> predict_flow(const FlowRequest& request,
                                                            std::size_t horizon = 0);
 
@@ -67,7 +76,11 @@ class Modeler {
   [[nodiscard]] static VirtualTopology simplify(const VirtualTopology& topo);
 
  private:
-  VirtualTopology fetch(const std::vector<net::Ipv4Address>& nodes);
+  /// One collector fetch of `nodes` (deduplicated) as an ephemeral
+  /// snapshot carrying `history_window` samples per edge direction (0: no
+  /// histories); records the last_query_* state and the core.modeler.*
+  /// metrics.
+  QuerySnapshot fetch(const std::vector<net::Ipv4Address>& nodes, std::size_t history_window);
 
   Collector& collector_;
   ModelerConfig config_;

@@ -71,35 +71,12 @@ QueryServer::QueryServer(Collector& collector, std::vector<net::Ipv4Address> uni
 
 QueryServer::~QueryServer() = default;
 
-// remos-requires(serve_mu_)
-QuerySnapshot QueryServer::build_snapshot() {
-  QuerySnapshot snap;
-  CollectorResponse resp = collector_.query(universe_);
-  snap.topo = std::move(resp.topology);
-  snap.complete = resp.complete;
-  snap.cost_s = resp.cost_s;
-  snap.staleness_s = resp.max_staleness_s;
-  // Copy the freshest history window of every identified edge (both
-  // directions): the prediction handles. Copies make the snapshot
-  // self-contained — collectors keep appending to the live histories
-  // while readers predict from the frozen ones.
-  for (const VEdge& e : snap.topo.edges()) {
-    if (e.id.empty()) continue;
-    for (const std::string& rid : {e.id, e.id + ":ba"}) {
-      if (snap.histories.contains(rid)) continue;
-      const sim::MeasurementHistory* h = collector_.history(rid);
-      if (h == nullptr || h->empty()) continue;
-      snap.histories.emplace(rid, h->last(config_.history_window));
-    }
-  }
-  return snap;
-}
-
 const QuerySnapshot& QueryServer::refresh() {
   QuerySnapshotPtr published;
   {
     std::lock_guard lock(serve_mu_);
-    auto snap = std::make_shared<QuerySnapshot>(build_snapshot());
+    auto snap = std::make_shared<QuerySnapshot>(
+        fetch_snapshot(collector_, universe_, config_.history_window));
     snap->epoch = next_epoch_++;
     published = std::move(snap);
   }
@@ -117,35 +94,6 @@ const QuerySnapshot& QueryServer::refresh() {
                              coalesce_->predict.lower_bound(horizon));
   }
   return *published;
-}
-
-// ---- pure answer functions ------------------------------------------------
-
-VirtualTopology QueryServer::answer_topology(const QuerySnapshot& snap,
-                                             const std::vector<net::Ipv4Address>& nodes) const {
-  VirtualTopology spanned = span_topology(snap.topo, nodes);
-  if (!config_.simplify_topology) return spanned;
-  return Modeler::simplify(spanned);  // audited inside simplify()
-}
-
-std::vector<FlowInfo> QueryServer::answer_flows(const QuerySnapshot& snap, const FlowQuery& query,
-                                                MaxMinScratch& scratch) const {
-  return max_min_allocate(snap.topo, query.flows, scratch).flows;
-}
-
-std::optional<FlowPrediction> QueryServer::answer_predict(const QuerySnapshot& snap,
-                                                          const FlowRequest& request,
-                                                          std::size_t horizon,
-                                                          MaxMinScratch& scratch) const {
-  const FlowInfo info = single_flow_info(snap.topo, request, scratch);
-  if (!info.routable()) return std::nullopt;
-  const VEdge* bottleneck = bottleneck_edge(snap.topo, info);
-  if (bottleneck == nullptr) return std::nullopt;
-  const std::vector<double>* hist =
-      choose_history(snap.history(bottleneck->id), snap.history(bottleneck->id + ":ba"));
-  if (hist == nullptr) return std::nullopt;
-  return predict_from_history(*hist, *bottleneck, predictor_, config_.prediction_model, horizon,
-                              config_.min_history, config_.prediction_cache);
 }
 
 PredictionTierStats QueryServer::prediction_tier_stats() const {
@@ -168,7 +116,9 @@ PredictionTierStats QueryServer::prediction_tier_stats() const {
 VirtualTopology QueryServer::topology_query(const std::vector<net::Ipv4Address>& nodes) const {
   queries_total_.fetch_add(1, std::memory_order_relaxed);
   const QuerySnapshotPtr snap = snapshot();
-  return answer_topology(*snap, nodes);
+  VirtualTopology spanned = span_topology(snap->topo, nodes);
+  if (!config_.simplify_topology) return spanned;
+  return Modeler::simplify(spanned);  // audited inside simplify()
 }
 
 std::vector<FlowInfo> QueryServer::flow_query(const FlowQuery& query) const {
@@ -199,20 +149,13 @@ std::vector<FlowInfo> QueryServer::flow_query(const FlowQuery& query) const {
   computations_.fetch_add(1, std::memory_order_relaxed);
   try {
     ScratchLease scratch = lease_scratch();
-    std::vector<FlowInfo> result = answer_flows(*snap, query, scratch.get());
+    std::vector<FlowInfo> result = max_min_allocate(snap->topo, query.flows, scratch.get()).flows;
     fit->promise.set_value(result);
     return result;
   } catch (...) {
     fit->promise.set_exception(std::current_exception());
     throw;
   }
-}
-
-FlowInfo QueryServer::flow_info(net::Ipv4Address src, net::Ipv4Address dst) const {
-  FlowQuery q;
-  q.flows.push_back(FlowRequest{src, dst, std::numeric_limits<double>::infinity()});
-  auto infos = flow_query(q);
-  return infos.empty() ? FlowInfo{} : std::move(infos.front());
 }
 
 std::optional<FlowPrediction> QueryServer::predict_flow(const FlowRequest& request,
@@ -252,7 +195,8 @@ std::optional<FlowPrediction> QueryServer::predict_flow(const FlowRequest& reque
   std::optional<FlowPrediction> result;
   try {
     ScratchLease scratch = lease_scratch();
-    result = answer_predict(*snap, request, horizon, scratch.get());
+    result = answer_predict(*snap, request, horizon, predictor_, config_.prediction_model,
+                            config_.min_history, config_.prediction_cache, scratch.get());
   } catch (...) {
     fits_in_flight_.fetch_sub(1, std::memory_order_relaxed);
     fit->promise.set_exception(std::current_exception());
@@ -261,31 +205,6 @@ std::optional<FlowPrediction> QueryServer::predict_flow(const FlowRequest& reque
   fits_in_flight_.fetch_sub(1, std::memory_order_relaxed);
   fit->promise.set_value(result);
   return result;
-}
-
-// ---- retained mutex baseline ---------------------------------------------
-
-VirtualTopology QueryServer::topology_query_locked(const std::vector<net::Ipv4Address>& nodes) {
-  queries_total_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(serve_mu_);
-  const QuerySnapshot snap = build_snapshot();
-  return answer_topology(snap, nodes);
-}
-
-std::vector<FlowInfo> QueryServer::flow_query_locked(const FlowQuery& query) {
-  queries_total_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(serve_mu_);
-  const QuerySnapshot snap = build_snapshot();
-  return answer_flows(snap, query, locked_scratch_);
-}
-
-std::optional<FlowPrediction> QueryServer::predict_flow_locked(const FlowRequest& request,
-                                                               std::size_t horizon) {
-  queries_total_.fetch_add(1, std::memory_order_relaxed);
-  if (horizon == 0) horizon = config_.prediction_horizon;
-  std::lock_guard lock(serve_mu_);
-  const QuerySnapshot snap = build_snapshot();
-  return answer_predict(snap, request, horizon, locked_scratch_);
 }
 
 QueryServer::ScratchLease QueryServer::lease_scratch() const {

@@ -1,24 +1,17 @@
 // QueryServer: lock-free Remos API serving at client-fleet scale.
 //
-// ROADMAP item 1: "thousands of concurrent Remos API clients against one
-// Modeler". The Modeler itself is single-threaded per instance — every
-// query pays a collector fetch, and a naive thread-safe wrapper would put
-// one global mutex around all of it. The QueryServer splits the problem:
+// The Modeler answers each query from its own collector fetch, so a
+// thread-safe Modeler would be one global mutex around a fetch per query.
+// The QueryServer moves the fetch off the read path:
 //
-//   * refresh() — simulation thread only. Queries the collector once for
-//     the whole universe, copies the measurement histories predictions
-//     need, and publishes the result as an immutable QuerySnapshot via an
+//   * refresh() — simulation thread only. Fetches the whole universe once
+//     (fetch_snapshot: topology plus the measurement histories predictions
+//     need) and publishes the result as an immutable QuerySnapshot via an
 //     atomic shared_ptr swap (core/query_snapshot.hpp).
 //   * topology_query / flow_query / predict_flow — any thread, any number
-//     of threads. Load the current snapshot and answer from it with pure
-//     functions; they take none of the simulation's locks.
-//   * *_locked variants — the retained mutex baseline: one global lock,
-//     one collector fetch per query, then the *same* pure answer
-//     functions. This is the pre-snapshot cost model, kept (a) as the
-//     bit-identity oracle the stress tests compare against on quiescent
-//     states and (b) as the baseline the scaling bench measures. Callers
-//     must hold the simulation quiescent (exactly the constraint the
-//     Modeler always had: collector fetches read live Network state).
+//     of threads. Load the current snapshot and answer from it with the
+//     same pure functions the Modeler answers with; they take none of the
+//     simulation's locks.
 //
 // Identical-query coalescing: concurrent (and repeated) flow/predict
 // queries with the same parameters against the same epoch share one
@@ -91,8 +84,8 @@ class QueryServer {
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// Rebuild and publish a fresh snapshot (epoch + 1). Simulation thread
-  /// only — the collector fetch reads live Network state. Serializes with
-  /// the *_locked baseline on serve_mu_.
+  /// only — the collector fetch reads live Network state. Concurrent
+  /// refreshes serialize on serve_mu_.
   const QuerySnapshot& refresh();
 
   /// Current published snapshot (never null after construction).
@@ -106,16 +99,8 @@ class QueryServer {
 
   [[nodiscard]] VirtualTopology topology_query(const std::vector<net::Ipv4Address>& nodes) const;
   [[nodiscard]] std::vector<FlowInfo> flow_query(const FlowQuery& query) const;
-  [[nodiscard]] FlowInfo flow_info(net::Ipv4Address src, net::Ipv4Address dst) const;
   [[nodiscard]] std::optional<FlowPrediction> predict_flow(const FlowRequest& request,
                                                            std::size_t horizon = 0) const;
-
-  // ---- retained mutex baseline (quiescent simulation only) ----
-
-  [[nodiscard]] VirtualTopology topology_query_locked(const std::vector<net::Ipv4Address>& nodes);
-  [[nodiscard]] std::vector<FlowInfo> flow_query_locked(const FlowQuery& query);
-  [[nodiscard]] std::optional<FlowPrediction> predict_flow_locked(const FlowRequest& request,
-                                                                  std::size_t horizon = 0);
 
   // ---- observability ----
 
@@ -145,27 +130,6 @@ class QueryServer {
  private:
   struct CoalesceTables;  // defined in query_server.cpp
   class ScratchLease;     // RAII lease of a pooled MaxMinScratch
-
-  /// Assemble a fresh snapshot from a full-universe collector fetch.
-  // remos-requires(serve_mu_)
-  [[nodiscard]] QuerySnapshot build_snapshot();
-
-  // Pure answer functions over a snapshot, shared by both paths.
-  // answer_topology and answer_predict are deliberately *not* remos-hot:
-  // the spanned/simplified topology a topology query returns is a freshly
-  // built value (its allocation is the product, not overhead), and a
-  // prediction runs an admission-controlled model fit. The steady-state
-  // discipline lives on snapshot() and the max-min delegation.
-  [[nodiscard]] VirtualTopology answer_topology(const QuerySnapshot& snap,
-                                                const std::vector<net::Ipv4Address>& nodes) const;
-  // remos-hot
-  [[nodiscard]] std::vector<FlowInfo> answer_flows(const QuerySnapshot& snap,
-                                                   const FlowQuery& query,
-                                                   MaxMinScratch& scratch) const;
-  [[nodiscard]] std::optional<FlowPrediction> answer_predict(const QuerySnapshot& snap,
-                                                             const FlowRequest& request,
-                                                             std::size_t horizon,
-                                                             MaxMinScratch& scratch) const;
 
   [[nodiscard]] ScratchLease lease_scratch() const;
 
@@ -199,13 +163,10 @@ class QueryServer {
   mutable std::mutex scratch_mu_;  // remos-lock-order(22)
   mutable std::vector<std::unique_ptr<MaxMinScratch>> scratch_pool_;
 
-  /// The retained global serving lock: orders the *_locked baseline and
-  /// refresh() (both fetch from the collector, which mutates its caches).
-  /// Held across collector fetches that touch the metrics registry (30),
-  /// so it orders strictly before it.
-  mutable std::mutex serve_mu_;  // remos-lock-order(3)
-  /// Dedicated arenas for the locked baseline path.
-  MaxMinScratch locked_scratch_;
+  /// Serializes refresh(): its collector fetch mutates collector caches,
+  /// and it stamps next_epoch_. Held across collector fetches that touch
+  /// the metrics registry (30), so it orders strictly before it.
+  std::mutex serve_mu_;  // remos-lock-order(3)
   std::uint64_t next_epoch_ = 1;
 };
 

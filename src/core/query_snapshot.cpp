@@ -7,10 +7,31 @@
 
 namespace remos::core {
 
+QuerySnapshot fetch_snapshot(Collector& collector, const std::vector<net::Ipv4Address>& nodes,
+                             std::size_t history_window) {
+  QuerySnapshot snap;
+  CollectorResponse resp = collector.query(nodes);
+  snap.topo = std::move(resp.topology);
+  snap.complete = resp.complete;
+  snap.cost_s = resp.cost_s;
+  snap.staleness_s = resp.max_staleness_s;
+  if (history_window == 0) return snap;
+  for (const VEdge& e : snap.topo.edges()) {
+    if (e.id.empty()) continue;
+    for (const std::string& rid : {e.id, e.id + ":ba"}) {
+      if (snap.histories.contains(rid)) continue;
+      const sim::MeasurementHistory* h = collector.history(rid);
+      if (h == nullptr || h->empty()) continue;
+      snap.histories.emplace(rid, h->last(history_window));
+    }
+  }
+  return snap;
+}
+
 VirtualTopology span_topology(const VirtualTopology& topo,
                               const std::vector<net::Ipv4Address>& nodes) {
   // Resolve and deduplicate endpoints, preserving request order (the same
-  // normalization Modeler::fetch applies before a collector query).
+  // normalization Modeler::fetch applies before fetch_snapshot).
   std::vector<VNodeIndex> endpoints;
   for (net::Ipv4Address a : nodes) {
     const VNodeIndex idx = topo.find_by_addr(a);
@@ -118,6 +139,22 @@ std::optional<FlowPrediction> predict_from_history(std::span<const double> value
   }
   if (!pred) return std::nullopt;
   return render_flow_prediction(std::move(*pred), bottleneck, model);
+}
+
+std::optional<FlowPrediction> answer_predict(const QuerySnapshot& snap, const FlowRequest& request,
+                                             std::size_t horizon,
+                                             const rps::ClientServerPredictor& predictor,
+                                             const rps::ModelSpec& model, std::size_t min_history,
+                                             rps::SharedPredictionCache* cache,
+                                             MaxMinScratch& scratch) {
+  const FlowInfo info = single_flow_info(snap.topo, request, scratch);
+  if (!info.routable()) return std::nullopt;
+  const VEdge* bottleneck = bottleneck_edge(snap.topo, info);
+  if (bottleneck == nullptr) return std::nullopt;
+  const std::vector<double>* hist =
+      choose_history(snap.history(bottleneck->id), snap.history(bottleneck->id + ":ba"));
+  if (hist == nullptr) return std::nullopt;
+  return predict_from_history(*hist, *bottleneck, predictor, model, horizon, min_history, cache);
 }
 
 }  // namespace remos::core

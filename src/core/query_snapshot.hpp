@@ -27,15 +27,18 @@
 #include <string>
 #include <vector>
 
+#include "core/collector.hpp"
+#include "core/maxmin.hpp"
 #include "core/types.hpp"
 #include "rps/predictor.hpp"
 #include "rps/shared_cache.hpp"
 
 namespace remos::core {
 
-/// One immutable, self-contained view of the monitored universe. Built on
-/// the simulation thread (QueryServer::refresh), read concurrently from
-/// any thread. Never mutated after publication.
+/// One immutable, self-contained view of the monitored universe (or of the
+/// nodes one Modeler query names). Built on the simulation thread by
+/// fetch_snapshot, read concurrently from any thread once QueryServer
+/// publishes it. Never mutated after publication.
 // remos-published
 struct QuerySnapshot {
   /// Publication serial, 1-based; 0 only for a never-refreshed server.
@@ -68,12 +71,24 @@ using QuerySnapshotPtr = std::shared_ptr<const QuerySnapshot>;
 // primitive of the snapshot design — declared as a bare std::atomic so
 // the concurrency pass classifies it as atomic rather than lock-guarded.
 
+/// Assemble a snapshot of `nodes` from one collector fetch: the topology,
+/// completeness, cost and staleness the collector reports, plus a copy of
+/// the freshest `history_window` samples of every identified edge's history
+/// in both directions (missing and empty histories are skipped). Copies make
+/// the snapshot self-contained: collectors keep appending to the live
+/// histories while readers predict from the frozen ones. A zero window
+/// copies no history and looks none up. Simulation thread only: the fetch
+/// reads live Network state and mutates collector caches.
+[[nodiscard]] QuerySnapshot fetch_snapshot(Collector& collector,
+                                           const std::vector<net::Ipv4Address>& nodes,
+                                           std::size_t history_window);
+
 // ---- pure answer helpers --------------------------------------------------
 //
-// Both the lock-free snapshot path and the retained mutex baseline answer
-// queries through these functions, so on a quiescent simulation the two
-// paths are bit-identical by construction (same snapshot contents, same
-// float operation order).
+// Both front-ends (QueryServer over its published universe snapshot, the
+// Modeler over an ephemeral snapshot of one query's nodes) answer through
+// these functions, so on a quiescent simulation they differ only in when
+// the fetch happened, never in how the answer is computed.
 
 /// Sub-topology spanning `nodes`: the union of shortest paths between
 /// every pair of requested addresses, preserving node and edge order of
@@ -89,7 +104,7 @@ using QuerySnapshotPtr = std::shared_ptr<const QuerySnapshot>;
 
 /// Pick the binding direction's history: the one with the higher mean
 /// recent load when both exist; the one that exists otherwise (nullptr
-/// when neither does). Mirrors the Modeler's historical choice exactly.
+/// when neither does).
 [[nodiscard]] const std::vector<double>* choose_history(const std::vector<double>* ab,
                                                         const std::vector<double>* ba);
 
@@ -110,5 +125,14 @@ using QuerySnapshotPtr = std::shared_ptr<const QuerySnapshot>;
     std::span<const double> values, const VEdge& bottleneck,
     const rps::ClientServerPredictor& predictor, const rps::ModelSpec& model,
     std::size_t horizon, std::size_t min_history, rps::SharedPredictionCache* cache = nullptr);
+
+/// Predicted available bandwidth of `request` over `snap`: route the flow
+/// (max-min arenas from `scratch`), take its bottleneck edge, choose the
+/// binding direction's history and fit it (predict_from_history). nullopt
+/// when the flow is unroutable or its bottleneck carries no history.
+[[nodiscard]] std::optional<FlowPrediction> answer_predict(
+    const QuerySnapshot& snap, const FlowRequest& request, std::size_t horizon,
+    const rps::ClientServerPredictor& predictor, const rps::ModelSpec& model,
+    std::size_t min_history, rps::SharedPredictionCache* cache, MaxMinScratch& scratch);
 
 }  // namespace remos::core

@@ -1,14 +1,18 @@
-// Client-fleet harness for query-serving at scale (ROADMAP item 1).
+// Client-fleet harness for query serving at scale.
 //
 // Shared by the TSan stress suite (tests/test_query_scale.cpp), the golden
-// transcript pin (tests/test_query_golden.cpp), and the scaling bench
-// (bench/micro_query_scale.cpp):
+// transcript pin (tests/test_query_golden.cpp), the scaling bench
+// (bench/micro_query_scale.cpp) and perfbench's WAN workloads:
 //
 //   * a deterministic mixed workload generator (mt19937_64 raw draws, so
 //     the same seed produces the same queries on every platform),
 //   * full-precision (%.17g) renderers for topology / flow / prediction
-//     answers — the bit-identity oracle between the lock-free snapshot
-//     path and the retained mutex path, and the golden transcript format,
+//     answers — the golden transcript format, and what the bit-identity
+//     checks compare,
+//   * the mutex oracle and baseline (answer_query with `locked`): one
+//     harness-wide lock, a fresh full-universe refresh, then the lock-free
+//     answer — the pre-snapshot cost model, kept here rather than in the
+//     production QueryServer,
 //   * a fleet runner that drives all queries across a sim::ThreadPool and
 //     reports throughput plus exact p50/p95/p99 latency.
 //
@@ -18,6 +22,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
@@ -177,18 +182,35 @@ inline WorkloadStats workload_stats(const std::vector<Query>& queries) {
   return stats;
 }
 
-/// Answer one query on the requested path, rendered at full precision.
+/// The one global lock of the mutex oracle/baseline, shared by every
+/// server the harness drives.
+inline std::mutex& oracle_mutex() {
+  static std::mutex mu;
+  return mu;
+}
+
+/// Answer one query, rendered at full precision. `locked` = false: the
+/// lock-free snapshot path. `locked` = true: the mutex oracle and baseline
+/// — under oracle_mutex(), refresh the server (one full-universe collector
+/// fetch) and answer on the fresh epoch. That is the pre-snapshot cost
+/// model (one global lock and one fetch per query), and since a fresh
+/// epoch has no memos every flow/predict answer is computed by a
+/// coalescing leader — so comparing it with a lock-free answer catches a
+/// wrong memo handed to a follower. Either way the caller keeps the
+/// simulation quiescent while it compares answers.
 inline std::string answer_query(core::QueryServer& server, const Query& q, bool locked) {
+  std::unique_lock<std::mutex> oracle;
+  if (locked) {
+    oracle = std::unique_lock(oracle_mutex());
+    server.refresh();
+  }
   switch (q.kind) {
     case Query::Kind::kTopology:
-      return render_topology(locked ? server.topology_query_locked(q.nodes)
-                                    : server.topology_query(q.nodes));
+      return render_topology(server.topology_query(q.nodes));
     case Query::Kind::kFlow:
-      return render_flow_infos(locked ? server.flow_query_locked(q.flow)
-                                      : server.flow_query(q.flow));
+      return render_flow_infos(server.flow_query(q.flow));
     case Query::Kind::kPredict:
-      return render_prediction(locked ? server.predict_flow_locked(q.request, q.horizon)
-                                      : server.predict_flow(q.request, q.horizon));
+      return render_prediction(server.predict_flow(q.request, q.horizon));
   }
   return {};
 }
@@ -204,9 +226,10 @@ struct FleetResult {
 
 /// Drive every query across the pool (each query = one simulated client)
 /// and measure per-query latency plus fleet wall time. `locked` selects
-/// the retained mutex baseline; the caller must keep the simulation
-/// quiescent for the duration either way (the locked path fetches from
-/// live collectors; the comparison needs a frozen ground truth).
+/// the mutex oracle/baseline (answer_query); the caller must keep the
+/// simulation quiescent for the duration either way (the locked path
+/// fetches from live collectors; the comparison needs a frozen ground
+/// truth).
 inline FleetResult run_fleet(core::QueryServer& server, const std::vector<Query>& queries,
                              sim::ThreadPool& pool, bool locked) {
   using clock = std::chrono::steady_clock;

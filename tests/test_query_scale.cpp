@@ -1,11 +1,12 @@
 // Query serving at scale — the TSan stress suite for the snapshot read
-// path (ROADMAP item 1). Three claims, each test-shaped:
+// path. Three claims, each test-shaped:
 //
 //   1. Bit-identity: on a quiescent simulation, the lock-free snapshot
-//      path and the retained mutex path produce byte-identical answers
-//      for an identical mixed workload (same floats, same order — the
-//      pure answer functions are shared, so this pins that refresh()
-//      really captures everything a query reads).
+//      path and the harness's mutex oracle (tests/query_fleet.hpp: a fresh
+//      refresh per query, answered by a coalescing leader) produce
+//      byte-identical answers for an identical mixed workload — so no
+//      follower is handed a wrong memo and a memoized epoch answers as a
+//      fresh one.
 //   2. Race-freedom: a reader fleet hammers the snapshot path while the
 //      simulation thread mutates the world underneath it — flows start
 //      and stop, collectors poll, epochs publish. Run under
@@ -15,13 +16,20 @@
 //      not heuristic — computations equal distinct keys, every other
 //      query is a hit, rejections are 0 unless the bound says otherwise.
 //
+// Alongside them: the Modeler and the QueryServer answer alike
+// (QueryFrontEnds), and the QueryServerConfig fields that shape a snapshot
+// (simplify_topology, history_window) do what they say (QuerySnapshotFetch).
+//
 // Registered with the `stress` ctest label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "apps/testbed.hpp"
+#include "core/modeler.hpp"
 #include "core/query_server.hpp"
 #include "query_fleet.hpp"
 #include "sim/thread_pool.hpp"
@@ -173,6 +181,118 @@ TEST(QueryScale, AdmissionControlBoundsPredictFits) {
   FlowQuery q;
   q.flows.push_back(req);
   EXPECT_FALSE(server.flow_query(q).empty());
+}
+
+/// A topology answer as sorted node and edge multisets. An edge names its
+/// endpoints by node name, in ascending order, so neither the node order
+/// nor the edge orientation of the answer matters; every float still
+/// renders at full precision.
+std::pair<std::vector<std::string>, std::vector<std::string>> unordered(
+    const VirtualTopology& topo) {
+  std::vector<std::string> nodes, edges;
+  for (const VNode& n : topo.nodes()) {
+    nodes.push_back(std::string(to_string(n.kind)) + " " + n.name + " " + n.addr.to_string());
+  }
+  for (const VEdge& e : topo.edges()) {
+    const auto [lo, hi] = std::minmax(topo.nodes()[e.a].name, topo.nodes()[e.b].name);
+    edges.push_back(lo + "-" + hi + " cap=" + fleet::fmt_double(e.capacity_bps) +
+                    " ab=" + fleet::fmt_double(e.util_ab_bps) +
+                    " ba=" + fleet::fmt_double(e.util_ba_bps) +
+                    " lat=" + fleet::fmt_double(e.latency_s) +
+                    " stale=" + fleet::fmt_double(e.staleness_s) + " id=" + e.id);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  std::sort(edges.begin(), edges.end());
+  return {nodes, edges};
+}
+
+TEST(QueryFrontEnds, ModelerAgreesWithQueryServer) {
+  WanTestbed w(stress_sites());
+  // 65 benchmark samples per site pair: well past min_history, so a front
+  // end fitting a clipped history would disagree with the other.
+  w.warm_up(64.0 * w.params.benchmark_period_s + 30.0);
+  const auto universe = all_hosts(w);
+  QueryServerConfig server_cfg = fast_predictions();
+  server_cfg.history_window = 4096;  // whole histories, as the Modeler fits
+  QueryServer server(*w.master, universe, server_cfg);
+  ModelerConfig modeler_cfg;
+  modeler_cfg.prediction_model = server_cfg.prediction_model;
+  modeler_cfg.min_history = server_cfg.min_history;
+  Modeler modeler(*w.master, modeler_cfg);
+
+  std::size_t predictions = 0;
+  for (const fleet::Query& q : fleet::make_workload(universe, 256, /*seed=*/0xF1EE7u)) {
+    switch (q.kind) {
+      case fleet::Query::Kind::kTopology:
+        // Same nodes and the same edges, but not always in the same order:
+        // a collector query naming only a few nodes can report an L2 edge
+        // as 2-1 where the universe query reports 1-2, and occasionally
+        // lists a host and a switch in the other order. With this seed, 36
+        // of the 49 topology answers differ in edge orientation and 1 also
+        // in node order. This is the same drift perfbench's lan_discovery
+        // records as full_lan_order_drift; it is not fixed here, so the
+        // answers compare as node and edge multisets.
+        EXPECT_EQ(unordered(modeler.topology_query(q.nodes)),
+                  unordered(server.topology_query(q.nodes)));
+        break;
+      case fleet::Query::Kind::kFlow:
+        EXPECT_EQ(fleet::render_flow_infos(modeler.flow_query(q.flow)),
+                  fleet::render_flow_infos(server.flow_query(q.flow)));
+        break;
+      case fleet::Query::Kind::kPredict: {
+        const std::string from_modeler =
+            fleet::render_prediction(modeler.predict_flow(q.request, q.horizon));
+        EXPECT_EQ(from_modeler,
+                  fleet::render_prediction(server.predict_flow(q.request, q.horizon)));
+        if (from_modeler != "predict none\n") ++predictions;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(predictions, 0u);
+}
+
+TEST(QuerySnapshotFetch, UnsimplifiedTopologyKeepsSwitches) {
+  WanTestbed w(stress_sites());
+  w.warm_up(60.0);
+  const auto universe = all_hosts(w);
+  QueryServerConfig cfg;
+  cfg.simplify_topology = false;
+  QueryServer server(*w.master, universe, cfg);
+
+  // Two hosts of one site meet at that site's switch.
+  const std::vector<net::Ipv4Address> nodes{w.addr(w.host("cmu", 0)), w.addr(w.host("cmu", 1))};
+  const VirtualTopology answer = server.topology_query(nodes);
+  EXPECT_TRUE(std::any_of(answer.nodes().begin(), answer.nodes().end(),
+                          [](const VNode& n) { return n.kind == VNodeKind::kSwitch; }));
+  EXPECT_EQ(fleet::render_topology(answer),
+            fleet::render_topology(span_topology(server.snapshot()->topo, nodes)));
+}
+
+TEST(QuerySnapshotFetch, HistoryWindowBoundsCopiedHistories) {
+  WanTestbed w(stress_sites());
+  w.warm_up(16.0 * w.params.benchmark_period_s + 30.0);
+  const auto universe = all_hosts(w);
+  constexpr std::size_t kWindow = 8;
+  QueryServerConfig cfg;
+  cfg.history_window = kWindow;
+  QueryServer server(*w.master, universe, cfg);
+
+  const QuerySnapshotPtr snap = server.snapshot();
+  ASSERT_FALSE(snap->histories.empty());
+  bool clipped = false;
+  for (const auto& [rid, values] : snap->histories) {
+    EXPECT_LE(values.size(), kWindow) << rid;
+    const sim::MeasurementHistory* live = w.master->history(rid);
+    ASSERT_NE(live, nullptr) << rid;
+    EXPECT_EQ(values, live->last(kWindow)) << rid;
+    clipped = clipped || live->size() > kWindow;
+  }
+  // The window must actually cut something, or the bound proves nothing.
+  EXPECT_TRUE(clipped);
+
+  // A zero window copies no history at all.
+  EXPECT_TRUE(fetch_snapshot(*w.master, universe, 0).histories.empty());
 }
 
 }  // namespace

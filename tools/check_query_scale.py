@@ -11,12 +11,15 @@ the QueryServer's own counters obey the coalescing contract:
   * coalesce_hits == flow_queries + predict_queries - distinct_keys, and
   * admission control rejected nothing (the bench never saturates it).
 
-Mutex rows carry zeros for the coalescing counters (the retained locked path
-recomputes every query and doesn't touch the coalescing tables), so only the
-workload-shape pins apply to them. When a mutex row and a snapshot row exist
-at the same fleet size, the snapshot path must also beat the mutex path by
-the acceptance multiplier (default 3x) — the throughput claim the snapshot
-publication PR made, re-proven on whatever machine runs CI.
+Mutex rows (the harness oracle: one global lock, a fresh refresh, then the
+lock-free answer, per query) must recompute every keyed query: each answers on
+a fresh epoch with no memos, so computations == flow_queries +
+predict_queries and coalesce_hits == 0. That proves the baseline the speedup
+is measured against really pays a computation per flow/predict query. When a
+mutex row and a snapshot row exist at the same fleet size, the snapshot path
+must also beat the mutex path by the acceptance multiplier (default 3x) — the
+throughput claim of snapshot publication, re-proven on whatever machine runs
+CI.
 
 Usage: check_query_scale.py --measured <bench-json> --pins <pins-json>
                             [--min-speedup 3.0]
@@ -88,6 +91,18 @@ def main() -> int:
                 )
         elif entry["name"] == "mutex":
             mutex_qps[entry["clients"]] = entry["qps"]
+            keyed = entry["flow_queries"] + entry["predict_queries"]
+            if entry["computations"] != keyed:
+                failures.append(
+                    f"{tag}: computed {entry['computations']} answers for "
+                    f"{keyed} flow/predict queries (the baseline must "
+                    "recompute every keyed query)"
+                )
+            if entry["coalesce_hits"] != 0:
+                failures.append(
+                    f"{tag}: {entry['coalesce_hits']} coalesce hits on the "
+                    "mutex baseline (every query must answer on a fresh epoch)"
+                )
 
     for clients, base in sorted(mutex_qps.items()):
         snap = snapshot_qps.get(clients)
@@ -108,7 +123,8 @@ def main() -> int:
     if not failures:
         print(
             f"check_query_scale: {checked} pinned workload shapes match; "
-            f"coalescing accounting exact"
+            f"coalescing accounting exact; mutex baseline recomputed every "
+            f"keyed query"
         )
     return 1 if failures else 0
 
