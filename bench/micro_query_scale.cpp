@@ -3,8 +3,8 @@
 // path vs the harness's mutex baseline.
 //
 // The mutex rows ARE the pre-snapshot cost model (one global lock and one
-// full-universe collector fetch per query, then the answer on that fresh
-// epoch — fleet::answer_query with `locked`, tests/query_fleet.hpp),
+// full-universe collector fetch per query, then the answer over that
+// fetch — fleet::answer_query with `locked`, tests/query_fleet.hpp),
 // re-measured live so the comparison is always against this machine.
 // baseline_qps_for() additionally embeds the values measured on the
 // reference container at the PR that introduced the snapshot path, so
@@ -97,8 +97,11 @@ Result run_one(apps::WanTestbed& w, const std::vector<net::Ipv4Address>& univers
     core::QueryServer server(*w.master, universe, bench_config());
     const fleet::FleetResult fr = fleet::run_fleet(server, queries, pool, locked);
     if (rep == 0) {
-      r.queries = server.queries_total();
-      r.computations = server.computations();
+      // The mutex oracle bypasses the server's read path, so its own
+      // accounting stands in for the server's (and the server's counters
+      // must stay at zero under it).
+      r.queries = server.queries_total() + fr.oracle.queries;
+      r.computations = server.computations() + fr.oracle.computations;
       r.coalesce_hits = server.coalesce_hits();
       r.predict_rejected = server.predict_rejected();
     }

@@ -95,6 +95,12 @@ class QueryServer {
   }
   [[nodiscard]] std::uint64_t epoch() const { return snapshot()->epoch; }
 
+  /// What refresh() fetches from, and how: enough for a caller to build an
+  /// independent snapshot of the same universe with fetch_snapshot.
+  [[nodiscard]] Collector& collector() const { return collector_; }
+  [[nodiscard]] const std::vector<net::Ipv4Address>& universe() const { return universe_; }
+  [[nodiscard]] const QueryServerConfig& config() const { return config_; }
+
   // ---- lock-free read path (any thread) ----
 
   [[nodiscard]] VirtualTopology topology_query(const std::vector<net::Ipv4Address>& nodes) const;

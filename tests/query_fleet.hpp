@@ -10,9 +10,10 @@
 //     answers — the golden transcript format, and what the bit-identity
 //     checks compare,
 //   * the mutex oracle and baseline (answer_query with `locked`): one
-//     harness-wide lock, a fresh full-universe refresh, then the lock-free
-//     answer — the pre-snapshot cost model, kept here rather than in the
-//     production QueryServer,
+//     harness-wide lock, an independent full-universe collector fetch, then
+//     the answer from the same pure functions the server uses — the
+//     pre-snapshot cost model, kept here rather than in the production
+//     QueryServer,
 //   * a fleet runner that drives all queries across a sim::ThreadPool and
 //     reports throughput plus exact p50/p95/p99 latency.
 //
@@ -28,7 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "core/maxmin.hpp"
+#include "core/modeler.hpp"
 #include "core/query_server.hpp"
+#include "core/query_snapshot.hpp"
 #include "core/types.hpp"
 #include "sim/stats.hpp"
 #include "sim/thread_pool.hpp"
@@ -189,28 +193,64 @@ inline std::mutex& oracle_mutex() {
   return mu;
 }
 
+/// Work the mutex oracle did. The server's own counters see none of it
+/// (the oracle never goes through the server's read path), so callers that
+/// account for a locked fleet read these instead. Updated under
+/// oracle_mutex().
+struct OracleWork {
+  std::uint64_t queries = 0;
+  /// Flow/predict answers computed: every one, since the oracle keeps no
+  /// memos.
+  std::uint64_t computations = 0;
+};
+
 /// Answer one query, rendered at full precision. `locked` = false: the
-/// lock-free snapshot path. `locked` = true: the mutex oracle and baseline
-/// — under oracle_mutex(), refresh the server (one full-universe collector
-/// fetch) and answer on the fresh epoch. That is the pre-snapshot cost
-/// model (one global lock and one fetch per query), and since a fresh
-/// epoch has no memos every flow/predict answer is computed by a
-/// coalescing leader — so comparing it with a lock-free answer catches a
-/// wrong memo handed to a follower. Either way the caller keeps the
-/// simulation quiescent while it compares answers.
-inline std::string answer_query(core::QueryServer& server, const Query& q, bool locked) {
-  std::unique_lock<std::mutex> oracle;
-  if (locked) {
-    oracle = std::unique_lock(oracle_mutex());
-    server.refresh();
+/// server's lock-free snapshot path. `locked` = true: the mutex oracle and
+/// baseline — under oracle_mutex(), fetch an independent snapshot of the
+/// server's universe (fetch_snapshot with the server's collector and
+/// history window) and answer from it with the same pure functions the
+/// server uses. That is the pre-snapshot cost model: one global lock and
+/// one full-universe collector fetch per query. The oracle changes nothing
+/// the server publishes (no epoch, no memo), so comparing its answer with
+/// a lock-free one checks the published epoch and its memos against a
+/// fresh computation, whichever of the two is evaluated first. Either way
+/// the caller keeps the simulation quiescent while it compares answers.
+/// `work`, when given, accumulates the oracle's accounting.
+inline std::string answer_query(core::QueryServer& server, const Query& q, bool locked,
+                                OracleWork* work = nullptr) {
+  if (!locked) {
+    switch (q.kind) {
+      case Query::Kind::kTopology:
+        return render_topology(server.topology_query(q.nodes));
+      case Query::Kind::kFlow:
+        return render_flow_infos(server.flow_query(q.flow));
+      case Query::Kind::kPredict:
+        return render_prediction(server.predict_flow(q.request, q.horizon));
+    }
+    return {};
+  }
+  std::lock_guard oracle(oracle_mutex());
+  static core::MaxMinScratch scratch;  // guarded by oracle_mutex()
+  const core::QueryServerConfig& cfg = server.config();
+  const core::QuerySnapshot snap =
+      core::fetch_snapshot(server.collector(), server.universe(), cfg.history_window);
+  if (work != nullptr) {
+    ++work->queries;
+    if (q.kind != Query::Kind::kTopology) ++work->computations;
   }
   switch (q.kind) {
-    case Query::Kind::kTopology:
-      return render_topology(server.topology_query(q.nodes));
+    case Query::Kind::kTopology: {
+      core::VirtualTopology spanned = core::span_topology(snap.topo, q.nodes);
+      return render_topology(cfg.simplify_topology ? core::Modeler::simplify(spanned) : spanned);
+    }
     case Query::Kind::kFlow:
-      return render_flow_infos(server.flow_query(q.flow));
-    case Query::Kind::kPredict:
-      return render_prediction(server.predict_flow(q.request, q.horizon));
+      return render_flow_infos(core::max_min_allocate(snap.topo, q.flow.flows, scratch).flows);
+    case Query::Kind::kPredict: {
+      const rps::ClientServerPredictor predictor(cfg.prediction_model);
+      return render_prediction(core::answer_predict(
+          snap, q.request, q.horizon == 0 ? cfg.prediction_horizon : q.horizon, predictor,
+          cfg.prediction_model, cfg.min_history, cfg.prediction_cache, scratch));
+    }
   }
   return {};
 }
@@ -222,14 +262,15 @@ struct FleetResult {
   double p50_s = 0.0;
   double p95_s = 0.0;
   double p99_s = 0.0;
+  OracleWork oracle;  // all zeros for a lock-free fleet
 };
 
 /// Drive every query across the pool (each query = one simulated client)
 /// and measure per-query latency plus fleet wall time. `locked` selects
-/// the mutex oracle/baseline (answer_query); the caller must keep the
-/// simulation quiescent for the duration either way (the locked path
-/// fetches from live collectors; the comparison needs a frozen ground
-/// truth).
+/// the mutex oracle/baseline (answer_query), whose work is reported in
+/// `oracle`; the caller must keep the simulation quiescent for the
+/// duration either way (the locked path fetches from live collectors; the
+/// comparison needs a frozen ground truth).
 inline FleetResult run_fleet(core::QueryServer& server, const std::vector<Query>& queries,
                              sim::ThreadPool& pool, bool locked) {
   using clock = std::chrono::steady_clock;
@@ -239,7 +280,7 @@ inline FleetResult run_fleet(core::QueryServer& server, const std::vector<Query>
   const auto fleet_start = clock::now();
   pool.parallel_for(queries.size(), [&](std::size_t i) {
     const auto start = clock::now();
-    result.answers[i] = answer_query(server, queries[i], locked);
+    result.answers[i] = answer_query(server, queries[i], locked, &result.oracle);
     latency[i] = std::chrono::duration<double>(clock::now() - start).count();
   });
   result.wall_s = std::chrono::duration<double>(clock::now() - fleet_start).count();

@@ -2,11 +2,12 @@
 // path. Three claims, each test-shaped:
 //
 //   1. Bit-identity: on a quiescent simulation, the lock-free snapshot
-//      path and the harness's mutex oracle (tests/query_fleet.hpp: a fresh
-//      refresh per query, answered by a coalescing leader) produce
-//      byte-identical answers for an identical mixed workload — so no
-//      follower is handed a wrong memo and a memoized epoch answers as a
-//      fresh one.
+//      path and the harness's mutex oracle (tests/query_fleet.hpp: an
+//      independent full-universe fetch per query, answered without memos
+//      and without touching the server's published state) produce
+//      byte-identical answers for an identical mixed workload — so the
+//      published epoch captured everything a query reads, and no follower
+//      is handed a wrong memo.
 //   2. Race-freedom: a reader fleet hammers the snapshot path while the
 //      simulation thread mutates the world underneath it — flows start
 //      and stop, collectors poll, epochs publish. Run under
@@ -73,8 +74,17 @@ TEST(QueryScale, SnapshotMatchesLockedOnQuiescentState) {
   const auto queries = fleet::make_workload(universe, 256, /*seed=*/0xF1EE7u);
   sim::ThreadPool pool(4);
   const fleet::FleetResult snap = fleet::run_fleet(server, queries, pool, /*locked=*/false);
+  const std::uint64_t epoch = server.epoch();
+  const std::uint64_t queries_served = server.queries_total();
   const fleet::FleetResult locked = fleet::run_fleet(server, queries, pool, /*locked=*/true);
   ASSERT_EQ(snap.answers.size(), locked.answers.size());
+  // The oracle computes every keyed answer itself and leaves the server
+  // alone: no new epoch, no query through its read path.
+  const fleet::WorkloadStats ws = fleet::workload_stats(queries);
+  EXPECT_EQ(locked.oracle.queries, queries.size());
+  EXPECT_EQ(locked.oracle.computations, ws.flow_queries + ws.predict_queries);
+  EXPECT_EQ(server.epoch(), epoch);
+  EXPECT_EQ(server.queries_total(), queries_served);
   std::size_t predictions = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(snap.answers[i], locked.answers[i]) << "query " << i << " diverged";

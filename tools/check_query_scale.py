@@ -11,11 +11,12 @@ the QueryServer's own counters obey the coalescing contract:
   * coalesce_hits == flow_queries + predict_queries - distinct_keys, and
   * admission control rejected nothing (the bench never saturates it).
 
-Mutex rows (the harness oracle: one global lock, a fresh refresh, then the
-lock-free answer, per query) must recompute every keyed query: each answers on
-a fresh epoch with no memos, so computations == flow_queries +
-predict_queries and coalesce_hits == 0. That proves the baseline the speedup
-is measured against really pays a computation per flow/predict query. When a
+Mutex rows (the harness oracle: one global lock, an independent
+full-universe fetch, then the answer over it, per query) must recompute every
+keyed query: the oracle keeps no memos and never enters the server's
+coalescing tables, so computations == flow_queries + predict_queries and
+coalesce_hits == 0. That proves the baseline the speedup is measured against
+really pays a computation per flow/predict query. When a
 mutex row and a snapshot row exist at the same fleet size, the snapshot path
 must also beat the mutex path by the acceptance multiplier (default 3x) — the
 throughput claim of snapshot publication, re-proven on whatever machine runs
@@ -101,7 +102,7 @@ def main() -> int:
             if entry["coalesce_hits"] != 0:
                 failures.append(
                     f"{tag}: {entry['coalesce_hits']} coalesce hits on the "
-                    "mutex baseline (every query must answer on a fresh epoch)"
+                    "mutex baseline (the oracle must never reuse a memo)"
                 )
 
     for clients, base in sorted(mutex_qps.items()):
