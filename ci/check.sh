@@ -24,6 +24,10 @@
 #                        incremental fit path must hold its >=5x edge over
 #                        the full-refit baseline at 100k series
 #                        (tools/check_rps_scale.py)
+#   2d. lan-smoke      — fig03_lan_scalability; its simulated-seconds table
+#                        (Fig 3's modeled collector costs per query size and
+#                        cache state) must equal bench/fig03_pins.txt, so
+#                        the modeled costs move only on purpose
 #   3. sanitize preset — ASan + UBSan, full ctest
 #   4. tsan preset     — ThreadSanitizer on the threaded test binaries
 #                        (ThreadPool, shared prediction cache, query fleet,
@@ -81,6 +85,13 @@ cmake --build build -j "$JOBS" --target micro_rps_scale
 ./build/bench/micro_rps_scale --smoke --out build/BENCH_rps_scale_smoke.json
 python3 tools/check_rps_scale.py --measured build/BENCH_rps_scale_smoke.json \
   --pins bench/rps_scale_pins.json
+
+step "lan-smoke: Fig 3 simulated-seconds table vs pin"
+cmake --build build -j "$JOBS" --target fig03_lan_scalability
+./build/bench/fig03_lan_scalability \
+  | awk '/^ *nodes /{on=1} NF==0{on=0} on' > build/fig03_table.txt
+diff bench/fig03_pins.txt build/fig03_table.txt
+echo "Fig 3 table matches bench/fig03_pins.txt"
 
 step "sanitize preset (ASan + UBSan) + ctest"
 cmake --preset sanitize >/dev/null

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 
 #include "core/audit.hpp"
@@ -11,15 +12,26 @@
 namespace remos::core {
 namespace {
 
-std::string switch_label(net::Ipv4Address addr) { return "sw@" + addr.to_string(); }
-
 std::string mac_label(std::uint64_t mac) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%012llx", static_cast<unsigned long long>(mac));
   return std::string("mac:") + buf;
 }
 
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+constexpr std::uint32_t kRoot = kNone - 1;
+
 }  // namespace
+
+std::string to_string(const L2Node& node) {
+  switch (node.kind) {
+    case L2Node::Kind::kSwitch: return "sw@" + node.addr.to_string();
+    case L2Node::Kind::kEndpoint: return mac_label(node.mac);
+    case L2Node::Kind::kCloud:
+      return "cloud@" + node.addr.to_string() + ":" + std::to_string(node.port);
+  }
+  return "?";
+}
 
 BridgeCollector::BridgeCollector(sim::Engine& engine, snmp::AgentRegistry& registry,
                                  BridgeCollectorConfig config)
@@ -60,9 +72,8 @@ double BridgeCollector::startup() {
   sim::metrics().counter("core.bridge_collector.startups_total").inc();
   const double before = client_.consumed_s();
   switches_.clear();
-  entities_.clear();
+  nodes_.clear();
   edges_.clear();
-  endpoint_entity_.clear();
   trunk_ports_.clear();
   for (net::Ipv4Address addr : config_.switches) {
     SwitchData data;
@@ -71,6 +82,7 @@ double BridgeCollector::startup() {
     switches_.push_back(std::move(data));
   }
   infer_topology();
+  build_index();
   started_ = true;
   if (config_.location_check_interval_s > 0 && monitor_task_ == 0) {
     monitor_task_ =
@@ -79,13 +91,15 @@ double BridgeCollector::startup() {
   return client_.consumed_s() - before;
 }
 
+double BridgeCollector::port_speed(std::size_t sw, std::uint32_t port) const {
+  auto it = switches_[sw].port_speed.find(port);
+  return it == switches_[sw].port_speed.end() ? 0.0 : it->second;
+}
+
 void BridgeCollector::infer_topology() {
-  // One entity per switch.
-  std::vector<std::size_t> switch_entity(switches_.size());
-  for (std::size_t i = 0; i < switches_.size(); ++i) {
-    switch_entity[i] = entities_.size();
-    entities_.push_back(Entity{Entity::Kind::kSwitch, switches_[i].addr, 0,
-                               switch_label(switches_[i].addr)});
+  // One node per switch, at the switch's index.
+  for (const SwitchData& sw : switches_) {
+    nodes_.push_back(L2Node{L2Node::Kind::kSwitch, sw.addr, 0, 0});
   }
 
   // Per-switch port -> sorted MAC set, plus the universe of endpoints.
@@ -110,23 +124,17 @@ void BridgeCollector::infer_topology() {
           std::set_intersection(si.begin(), si.end(), sj.begin(), sj.end(),
                                 std::back_inserter(inter));
           if (!inter.empty()) continue;
-          const double cap = std::min(switches_[i].port_speed.count(pi)
-                                          ? switches_[i].port_speed.at(pi)
-                                          : 0.0,
-                                      switches_[j].port_speed.count(pj)
-                                          ? switches_[j].port_speed.at(pj)
-                                          : 0.0);
-          Edge e;
-          e.a = switch_entity[i];
-          e.b = switch_entity[j];
+          L2Edge e;
+          e.a = static_cast<std::uint32_t>(i);
+          e.b = static_cast<std::uint32_t>(j);
           e.a_port = pi;
           e.b_port = pj;
-          e.capacity_bps = cap;
+          e.capacity_bps = std::min(port_speed(i, pi), port_speed(j, pj));
           e.link_id = "l2:" + switches_[i].addr.to_string() + ":" + std::to_string(pi) + "-" +
                       switches_[j].addr.to_string() + ":" + std::to_string(pj);
           edges_.push_back(std::move(e));
-          trunk_ports_[{switch_entity[i], pi}] = true;
-          trunk_ports_[{switch_entity[j], pj}] = true;
+          trunk_ports_.emplace(i, pi);
+          trunk_ports_.emplace(j, pj);
         }
       }
     }
@@ -138,61 +146,88 @@ void BridgeCollector::infer_topology() {
     for (std::size_t i = 0; i < switches_.size(); ++i) {
       auto it = switches_[i].fdb.find(mac);
       if (it == switches_[i].fdb.end()) continue;
-      const auto key = std::make_pair(switch_entity[i], it->second);
+      const auto key = std::make_pair(i, it->second);
       if (trunk_ports_.contains(key)) continue;
       access[key].push_back(mac);
       break;  // unique access port in a tree
     }
   }
+  // Several endpoints behind one access port: an invisible shared medium,
+  // represented as a cloud. Clouds get their nodes ahead of every endpoint
+  // so the forwarding nodes stay contiguous.
+  std::vector<std::uint32_t> cloud_of;
+  cloud_of.reserve(access.size());
   for (const auto& [key, macs] : access) {
-    const auto [sw_entity, port] = key;
-    const SwitchData& sw = switches_[sw_entity];  // switch entities come first, same index
-    const double cap = sw.port_speed.count(port) ? sw.port_speed.at(port) : 0.0;
-    std::size_t attach_to = sw_entity;
+    if (macs.size() < 2) {
+      cloud_of.push_back(kNone);
+      continue;
+    }
+    cloud_of.push_back(static_cast<std::uint32_t>(nodes_.size()));
+    nodes_.push_back(L2Node{L2Node::Kind::kCloud, switches_[key.first].addr, 0, key.second});
+  }
+  fabric_count_ = static_cast<std::uint32_t>(nodes_.size());
+  std::size_t group = 0;
+  for (const auto& [key, macs] : access) {
+    const auto [sw, port] = key;
+    const std::string at = "@" + switches_[sw].addr.to_string() + ":" + std::to_string(port);
+    const double cap = port_speed(sw, port);
+    auto attach_to = static_cast<std::uint32_t>(sw);
     std::uint32_t attach_port = port;
-    bool shared = false;
-    if (macs.size() > 1) {
-      // Several endpoints behind one access port: invisible shared medium.
-      Entity cloud;
-      cloud.kind = Entity::Kind::kCloud;
-      cloud.label = "cloud@" + sw.addr.to_string() + ":" + std::to_string(port);
-      const std::size_t cloud_idx = entities_.size();
-      entities_.push_back(std::move(cloud));
-      Edge up;
-      up.a = sw_entity;
-      up.b = cloud_idx;
+    const std::uint32_t cloud = cloud_of[group++];
+    if (cloud != kNone) {
+      L2Edge up;
+      up.a = attach_to;
+      up.b = cloud;
       up.a_port = port;
       up.capacity_bps = cap;
       up.shared = true;
-      up.link_id = "l2:" + sw.addr.to_string() + ":" + std::to_string(port) + "-cloud";
+      up.link_id = "l2:" + switches_[sw].addr.to_string() + ":" + std::to_string(port) + "-cloud";
       edges_.push_back(std::move(up));
-      attach_to = cloud_idx;
+      attach_to = cloud;
       attach_port = 0;
-      shared = true;
     }
     for (std::uint64_t mac : macs) {
-      Entity ep;
-      ep.kind = Entity::Kind::kEndpoint;
-      ep.mac = mac;
-      ep.label = mac_label(mac);
-      const std::size_t ep_idx = entities_.size();
-      entities_.push_back(std::move(ep));
-      endpoint_entity_[mac] = ep_idx;
-      Edge e;
+      L2Edge e;
       e.a = attach_to;
-      e.b = ep_idx;
+      e.b = static_cast<std::uint32_t>(nodes_.size());
       e.a_port = attach_port;
       e.capacity_bps = cap;
-      e.shared = shared;
-      e.link_id = "l2:" + mac_label(mac) + "@" + sw.addr.to_string() + ":" + std::to_string(port);
+      e.shared = cloud != kNone;
+      e.link_id = "l2:" + mac_label(mac) + at;
       edges_.push_back(std::move(e));
+      nodes_.push_back(L2Node{L2Node::Kind::kEndpoint, {}, mac, 0});
     }
   }
 }
 
-std::size_t BridgeCollector::entity_of_endpoint(std::uint64_t mac) const {
-  auto it = endpoint_entity_.find(mac);
-  return it == endpoint_entity_.end() ? ~std::size_t{0} : it->second;
+void BridgeCollector::build_index() {
+  adj_offset_.assign(fabric_count_ + 1, 0);
+  endpoints_.clear();
+  for (const L2Edge& e : edges_) {
+    if (e.b >= fabric_count_) continue;  // endpoint attachment
+    ++adj_offset_[e.a + 1];
+    ++adj_offset_[e.b + 1];
+  }
+  for (std::uint32_t v = 0; v < fabric_count_; ++v) adj_offset_[v + 1] += adj_offset_[v];
+  adj_.assign(adj_offset_[fabric_count_], 0);
+  std::vector<std::uint32_t> cursor(adj_offset_.begin(), adj_offset_.end() - 1);
+  for (std::uint32_t ei = 0; ei < edges_.size(); ++ei) {
+    const L2Edge& e = edges_[ei];
+    if (e.b >= fabric_count_) {
+      endpoints_.push_back(Attachment{nodes_[e.b].mac, ei});
+      continue;
+    }
+    adj_[cursor[e.a]++] = ei;
+    adj_[cursor[e.b]++] = ei;
+  }
+  std::sort(endpoints_.begin(), endpoints_.end(),
+            [](const Attachment& x, const Attachment& y) { return x.mac < y.mac; });
+}
+
+const BridgeCollector::Attachment* BridgeCollector::attachment_of(std::uint64_t mac) const {
+  auto it = std::lower_bound(endpoints_.begin(), endpoints_.end(), mac,
+                             [](const Attachment& x, std::uint64_t m) { return x.mac < m; });
+  return it == endpoints_.end() || it->mac != mac ? nullptr : &*it;
 }
 
 std::optional<std::vector<L2PathHop>> BridgeCollector::l2_path(net::Ipv4Address src,
@@ -201,60 +236,64 @@ std::optional<std::vector<L2PathHop>> BridgeCollector::l2_path(net::Ipv4Address 
   const auto src_mac = config_.arp(src);
   const auto dst_mac = config_.arp(dst);
   if (!src_mac || !dst_mac) return std::nullopt;
-  const std::size_t from = entity_of_endpoint(*src_mac);
-  const std::size_t to = entity_of_endpoint(*dst_mac);
-  if (from == ~std::size_t{0} || to == ~std::size_t{0}) return std::nullopt;
+  const Attachment* from = attachment_of(*src_mac);
+  const Attachment* to = attachment_of(*dst_mac);
+  if (from == nullptr || to == nullptr) return std::nullopt;
   if (from == to) return std::vector<L2PathHop>{};
 
-  // BFS over the inferred entity graph (endpoints do not forward).
-  std::vector<std::vector<std::size_t>> adj(entities_.size());
-  for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-    adj[edges_[ei].a].push_back(ei);
-    adj[edges_[ei].b].push_back(ei);
-  }
-  std::vector<std::size_t> via(entities_.size(), ~std::size_t{0});
-  std::vector<std::size_t> prev(entities_.size(), ~std::size_t{0});
-  std::vector<bool> seen(entities_.size(), false);
-  std::vector<std::size_t> frontier{from};
-  seen[from] = true;
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const std::size_t u = frontier[head];
-    if (u == to) break;
-    if (entities_[u].kind == Entity::Kind::kEndpoint && u != from) continue;
-    for (std::size_t ei : adj[u]) {
-      const Edge& e = edges_[ei];
-      const std::size_t v = (e.a == u) ? e.b : e.a;
-      if (seen[v]) continue;
-      seen[v] = true;
-      via[v] = ei;
-      prev[v] = u;
+  // Endpoints do not forward, so the path is the source's attachment
+  // edge, the BFS path between the two attachment nodes over the
+  // forwarding nodes, and the destination's attachment edge. BFS visits
+  // each node's edges in ascending edge order, so ties break as a BFS
+  // over the whole entity graph from the source endpoint would.
+  const std::uint32_t first = edges_[from->edge].a;
+  const std::uint32_t last = edges_[to->edge].a;
+  std::vector<std::uint32_t> via(fabric_count_, kNone);  // edge that reached the node
+  std::vector<std::uint32_t> frontier;
+  frontier.reserve(fabric_count_);
+  via[first] = kRoot;
+  frontier.push_back(first);
+  for (std::size_t head = 0; head < frontier.size() && via[last] == kNone; ++head) {
+    const std::uint32_t u = frontier[head];
+    for (std::uint32_t k = adj_offset_[u]; k < adj_offset_[u + 1]; ++k) {
+      const L2Edge& e = edges_[adj_[k]];
+      const std::uint32_t v = (e.a == u) ? e.b : e.a;
+      if (via[v] != kNone) continue;
+      via[v] = adj_[k];
       frontier.push_back(v);
     }
   }
-  if (!seen[to]) return std::nullopt;
+  if (via[last] == kNone) return std::nullopt;
 
-  std::vector<L2PathHop> hops;
-  for (std::size_t cur = to; cur != from; cur = prev[cur]) {
-    const Edge& e = edges_[via[cur]];
-    const std::size_t hop_from = prev[cur];  // traversal direction
-    L2PathHop hop;
-    hop.capacity_bps = e.capacity_bps;
-    hop.link_id = e.link_id;
-    hop.shared_medium = e.shared;
-    hop.from_label = entities_[hop_from].label;
-    hop.to_label = entities_[cur].label;
+  auto hop = [this](std::uint32_t ei, std::uint32_t hop_from, std::uint32_t hop_to) {
+    const L2Edge& e = edges_[ei];
+    L2PathHop h;
+    h.capacity_bps = e.capacity_bps;
+    h.link_id = e.link_id;
+    h.shared_medium = e.shared;
+    h.from = nodes_[hop_from];
+    h.to = nodes_[hop_to];
     // Monitor at a switch side when one exists (clouds have none).
-    if (entities_[e.a].kind == Entity::Kind::kSwitch) {
-      hop.agent = entities_[e.a].sw_addr;
-      hop.port = e.a_port;
-      hop.agent_on_from_side = (e.a == hop_from);
-    } else if (entities_[e.b].kind == Entity::Kind::kSwitch) {
-      hop.agent = entities_[e.b].sw_addr;
-      hop.port = e.b_port;
-      hop.agent_on_from_side = (e.b == hop_from);
+    if (nodes_[e.a].kind == L2Node::Kind::kSwitch) {
+      h.agent = nodes_[e.a].addr;
+      h.port = e.a_port;
+      h.agent_on_from_side = (e.a == hop_from);
+    } else if (nodes_[e.b].kind == L2Node::Kind::kSwitch) {
+      h.agent = nodes_[e.b].addr;
+      h.port = e.b_port;
+      h.agent_on_from_side = (e.b == hop_from);
     }
-    hops.push_back(std::move(hop));
+    return h;
+  };
+  std::vector<L2PathHop> hops;
+  hops.push_back(hop(to->edge, last, edges_[to->edge].b));
+  for (std::uint32_t cur = last; via[cur] != kRoot;) {
+    const L2Edge& e = edges_[via[cur]];
+    const std::uint32_t prev = (e.a == cur) ? e.b : e.a;
+    hops.push_back(hop(via[cur], prev, cur));
+    cur = prev;
   }
+  hops.push_back(hop(from->edge, edges_[from->edge].b, first));
   std::reverse(hops.begin(), hops.end());
   return hops;
 }
@@ -264,47 +303,25 @@ std::optional<std::pair<net::Ipv4Address, std::uint32_t>> BridgeCollector::locat
   if (!started_ || !config_.arp) return std::nullopt;
   const auto mac = config_.arp(endpoint);
   if (!mac) return std::nullopt;
-  const std::size_t ep = entity_of_endpoint(*mac);
-  if (ep == ~std::size_t{0}) return std::nullopt;
-  for (const Edge& e : edges_) {
-    if (e.a != ep && e.b != ep) continue;
-    const std::size_t other = (e.a == ep) ? e.b : e.a;
-    if (entities_[other].kind == Entity::Kind::kSwitch) {
-      return std::make_pair(entities_[other].sw_addr, e.a == ep ? e.b_port : e.a_port);
-    }
-    if (entities_[other].kind == Entity::Kind::kCloud) {
-      // Report the switch port behind which the cloud hangs.
-      for (const Edge& up : edges_) {
-        if ((up.a == other && entities_[up.b].kind == Entity::Kind::kSwitch) ||
-            (up.b == other && entities_[up.a].kind == Entity::Kind::kSwitch)) {
-          const std::size_t sw = entities_[up.a].kind == Entity::Kind::kSwitch ? up.a : up.b;
-          return std::make_pair(entities_[sw].sw_addr, up.a == sw ? up.a_port : up.b_port);
-        }
-      }
-    }
-  }
-  return std::nullopt;
+  const Attachment* at = attachment_of(*mac);
+  if (at == nullptr) return std::nullopt;
+  const L2Edge& e = edges_[at->edge];
+  const L2Node& attach = nodes_[e.a];
+  // A cloud member reports the switch port behind which the cloud hangs.
+  if (attach.kind == L2Node::Kind::kCloud) return std::make_pair(attach.addr, attach.port);
+  return std::make_pair(attach.addr, e.a_port);
 }
 
 std::size_t BridgeCollector::check_locations() {
   if (!started_) return 0;
   std::size_t moved = 0;
-  for (auto& [mac, ep_idx] : endpoint_entity_) {
-    REMOS_CHECK(ep_idx < entities_.size(), "endpoint map must reference a live entity");
-    // Find the endpoint's attachment edge and its recorded switch.
-    std::size_t edge_idx = ~std::size_t{0};
-    for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-      if (edges_[ei].a == ep_idx || edges_[ei].b == ep_idx) {
-        edge_idx = ei;
-        break;
-      }
-    }
-    if (edge_idx == ~std::size_t{0}) continue;
-    Edge& e = edges_[edge_idx];
-    const std::size_t attach = (e.a == ep_idx) ? e.b : e.a;
-    if (entities_[attach].kind != Entity::Kind::kSwitch) continue;  // cloud members skipped
-    const net::Ipv4Address sw_addr = entities_[attach].sw_addr;
-    const std::uint32_t recorded_port = (e.a == ep_idx) ? e.b_port : e.a_port;
+  for (const Attachment& at : endpoints_) {
+    REMOS_CHECK(at.edge < edges_.size(), "endpoint index must reference a live edge");
+    L2Edge& e = edges_[at.edge];
+    if (nodes_[e.a].kind != L2Node::Kind::kSwitch) continue;  // cloud members skipped
+    const std::uint64_t mac = at.mac;
+    const net::Ipv4Address sw_addr = nodes_[e.a].addr;
+    const std::uint32_t recorded_port = e.a_port;
 
     // "The location of a host can be monitored merely by checking its
     // forwarding entry in the bridge to which it is connected."
@@ -329,17 +346,13 @@ std::size_t BridgeCollector::check_locations() {
       const auto port = static_cast<std::uint32_t>(*p);
       switches_[i].fdb[mac] = port;
       if (trunk_ports_.contains({i, port})) continue;  // seen through a trunk
-      // Rewire the attachment edge to the new access port.
-      const std::size_t sw_entity = i;  // switch entities share switch indices
-      if (e.a == ep_idx) {
-        e.b = sw_entity;
-        e.b_port = port;
-      } else {
-        e.a = sw_entity;
-        e.a_port = port;
+      // Rewire the attachment edge to the new access port. Only the
+      // edge's switch side changes, so the L2 index stays valid.
+      e.a = static_cast<std::uint32_t>(i);  // switch nodes share switch indices
+      e.a_port = port;
+      if (auto sp = switches_[i].port_speed.find(port); sp != switches_[i].port_speed.end()) {
+        e.capacity_bps = sp->second;
       }
-      e.capacity_bps = switches_[i].port_speed.count(port) ? switches_[i].port_speed.at(port)
-                                                           : e.capacity_bps;
       e.link_id = "l2:" + mac_label(mac) + "@" + switches_[i].addr.to_string() + ":" +
                   std::to_string(port);
       ++moved;
@@ -353,9 +366,8 @@ std::size_t BridgeCollector::check_locations() {
 
 std::size_t BridgeCollector::inter_switch_link_count() const {
   std::size_t n = 0;
-  for (const Edge& e : edges_) {
-    if (entities_[e.a].kind == Entity::Kind::kSwitch &&
-        entities_[e.b].kind == Entity::Kind::kSwitch) {
+  for (const L2Edge& e : edges_) {
+    if (nodes_[e.a].kind == L2Node::Kind::kSwitch && nodes_[e.b].kind == L2Node::Kind::kSwitch) {
       ++n;
     }
   }

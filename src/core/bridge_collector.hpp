@@ -18,8 +18,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,6 +28,20 @@
 #include "snmp/client.hpp"
 
 namespace remos::core {
+
+/// Typed identity of one element of the inferred L2 graph. Switches are
+/// named by management address, endpoints by MAC, and an invisible shared
+/// medium (hub cloud) by the switch address and access port it hangs off.
+struct L2Node {
+  enum class Kind : std::uint8_t { kSwitch, kEndpoint, kCloud } kind = Kind::kEndpoint;
+  net::Ipv4Address addr{};  // switches and clouds: the switch's address
+  std::uint64_t mac = 0;    // endpoints
+  std::uint32_t port = 0;   // clouds: the switch port behind which they sit
+  friend bool operator==(const L2Node&, const L2Node&) = default;
+};
+
+/// Display form: "sw@<ip>", "mac:<hex12>" or "cloud@<ip>:<port>".
+[[nodiscard]] std::string to_string(const L2Node& node);
 
 /// One monitorable element of an L2 path: the link behind switch port
 /// (agent, port). Utilization of the link is read from that port's octet
@@ -38,13 +52,22 @@ struct L2PathHop {
   double capacity_bps = 0.0;    // port speed (min of both ends for trunks)
   std::string link_id;          // stable resource identifier
   bool shared_medium = false;   // true when the hop crosses a hub cloud
-  /// Entity labels ("sw@<ip>", "mac:<hex>", "cloud@...") in traversal
-  /// order, so callers can reconstruct the node chain.
-  std::string from_label;
-  std::string to_label;
+  /// The hop's elements in traversal order, so callers can reconstruct
+  /// the node chain.
+  L2Node from;
+  L2Node to;
   /// True when the monitoring switch (agent/port) sits on the `from` side
   /// of the hop — out_octets at that port then measure from->to traffic.
   bool agent_on_from_side = false;
+};
+
+/// One link of the inferred L2 graph, between two L2Node indices.
+struct L2Edge {
+  std::uint32_t a = 0, b = 0;            // node indices; an endpoint is always `b`
+  std::uint32_t a_port = 0, b_port = 0;  // valid when that side is a switch
+  double capacity_bps = 0.0;
+  std::string link_id;
+  bool shared = false;
 };
 
 struct BridgeCollectorConfig {
@@ -98,45 +121,56 @@ class BridgeCollector {
   [[nodiscard]] std::uint64_t topology_version() const { return version_; }
 
   [[nodiscard]] std::size_t switch_count() const { return config_.switches.size(); }
-  [[nodiscard]] std::size_t endpoint_count() const { return endpoint_entity_.size(); }
+  [[nodiscard]] std::size_t endpoint_count() const { return endpoints_.size(); }
   [[nodiscard]] std::size_t inter_switch_link_count() const;
   [[nodiscard]] const snmp::SnmpClient& client() const { return client_; }
 
+  /// The inferred L2 graph (read-only; tests check l2_path against it).
+  /// Switch i of the config is node i.
+  [[nodiscard]] const std::vector<L2Node>& l2_nodes() const { return nodes_; }
+  [[nodiscard]] const std::vector<L2Edge>& l2_edges() const { return edges_; }
+
  private:
-  struct Entity {
-    enum class Kind { kSwitch, kEndpoint, kCloud } kind = Kind::kEndpoint;
-    net::Ipv4Address sw_addr{};  // switches
-    std::uint64_t mac = 0;       // endpoints
-    std::string label;
-  };
-  struct Edge {
-    std::size_t a = 0, b = 0;            // entity indices
-    std::uint32_t a_port = 0, b_port = 0;  // valid when that side is a switch
-    double capacity_bps = 0.0;
-    std::string link_id;
-    bool shared = false;
-  };
   struct SwitchData {
     net::Ipv4Address addr{};
     std::unordered_map<std::uint64_t, std::uint32_t> fdb;  // mac -> port
     std::unordered_map<std::uint32_t, double> port_speed;
   };
+  /// An endpoint and the one edge that attaches it (the endpoint is its
+  /// `b` side; a relocation rewires the edge's `a` side in place).
+  struct Attachment {
+    std::uint64_t mac = 0;
+    std::uint32_t edge = 0;
+  };
 
   double walk_switch(SwitchData& data);
   void infer_topology();
-  void attach_endpoint(std::uint64_t mac);
-  [[nodiscard]] std::size_t entity_of_endpoint(std::uint64_t mac) const;
+  void build_index();
+  [[nodiscard]] const Attachment* attachment_of(std::uint64_t mac) const;
+  [[nodiscard]] double port_speed(std::size_t sw, std::uint32_t port) const;
 
   sim::Engine& engine_;
   BridgeCollectorConfig config_;
   snmp::SnmpClient client_;
   std::vector<SwitchData> switches_;
-  std::vector<Entity> entities_;
-  std::vector<Edge> edges_;
-  // Ordered by MAC so check_locations() polls bridges in a deterministic
-  // sequence — iteration order here reaches the SNMP wire and the logs.
-  std::map<std::uint64_t, std::size_t> endpoint_entity_;               // mac -> entity
-  std::map<std::pair<std::size_t, std::uint32_t>, bool> trunk_ports_;  // (switch entity, port)
+  // Switches first (in config order), then clouds, then endpoints: the
+  // first fabric_count_ nodes are the ones that forward.
+  std::vector<L2Node> nodes_;
+  std::uint32_t fabric_count_ = 0;
+  std::vector<L2Edge> edges_;
+  // The L2 index, built once per startup(): CSR adjacency over the
+  // forwarding (switch and cloud) nodes (the edges incident to node v are
+  // adj_[adj_offset_[v] .. adj_offset_[v + 1]), in ascending edge order)
+  // and every endpoint's attachment sorted by MAC. Endpoints are leaves
+  // reached only through their attachment edge, so the CSR leaves them out
+  // and a relocation, which rewires an attachment edge, leaves it valid.
+  // Sorted by MAC, the attachments also give check_locations() its
+  // deterministic polling order — that order reaches the SNMP wire and
+  // the logs.
+  std::vector<std::uint32_t> adj_offset_;
+  std::vector<std::uint32_t> adj_;
+  std::vector<Attachment> endpoints_;
+  std::set<std::pair<std::size_t, std::uint32_t>> trunk_ports_;  // (switch index, port)
   sim::TaskId monitor_task_ = 0;
   bool started_ = false;
   std::uint64_t moves_ = 0;

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
-#include <set>
+#include <string_view>
 
 #include "core/audit.hpp"
 #include "core/obs.hpp"
@@ -60,26 +59,20 @@ VNode SnmpCollector::node_descriptor(net::Ipv4Address addr) const {
   return VNode{VNodeKind::kHost, host_name(addr), addr};
 }
 
-VNode SnmpCollector::label_to_vnode(const std::string& label, net::Ipv4Address src,
-                                    net::Ipv4Address dst, std::uint64_t src_mac,
-                                    std::uint64_t dst_mac) const {
-  if (label.starts_with("sw@")) {
-    const auto addr = net::Ipv4Address::parse(label.substr(3));
-    return VNode{VNodeKind::kSwitch, label, addr.value_or(net::Ipv4Address{})};
+VNode SnmpCollector::hop_vnode(const L2Node& node, net::Ipv4Address src, net::Ipv4Address dst,
+                               std::uint64_t src_mac, std::uint64_t dst_mac) const {
+  switch (node.kind) {
+    case L2Node::Kind::kSwitch: return VNode{VNodeKind::kSwitch, to_string(node), node.addr};
+    case L2Node::Kind::kEndpoint:
+      // Endpoints can only be the two nodes the path was asked for.
+      if (node.mac == src_mac) return node_descriptor(src);
+      if (node.mac == dst_mac) return node_descriptor(dst);
+      break;
+    case L2Node::Kind::kCloud:
+      // An invisible shared medium becomes a virtual switch in the response.
+      break;
   }
-  if (label.starts_with("cloud@")) {
-    // An invisible shared medium becomes a virtual switch in the response.
-    return VNode{VNodeKind::kVirtualSwitch, "vs:" + label, {}};
-  }
-  if (label.starts_with("mac:")) {
-    // Endpoint labels can only be the two nodes the path was asked for.
-    char buf[20];
-    std::snprintf(buf, sizeof buf, "mac:%012llx", static_cast<unsigned long long>(src_mac));
-    if (label == buf) return node_descriptor(src);
-    std::snprintf(buf, sizeof buf, "mac:%012llx", static_cast<unsigned long long>(dst_mac));
-    if (label == buf) return node_descriptor(dst);
-  }
-  return VNode{VNodeKind::kVirtualSwitch, "vs:" + label, {}};
+  return VNode{VNodeKind::kVirtualSwitch, "vs:" + to_string(node), {}};
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +176,14 @@ void SnmpCollector::add_edge(KnownEdge edge) {
   const KnownEdge& old = it->second;
   const bool downgrade = edge.capacity_bps <= 0.0 && edge.monitor.agent.is_zero() &&
                          (old.capacity_bps > 0.0 || !old.monitor.agent.is_zero());
-  if (!downgrade) it->second = std::move(edge);
+  if (downgrade) return;
+  // A later discovery may walk the edge the other way. Keep the stored
+  // orientation, so an answer does not depend on which queries came first.
+  if (edge.a.name != edge.b.name && edge.a.name == old.b.name && edge.b.name == old.a.name) {
+    std::swap(edge.a, edge.b);
+    edge.monitor_on_a = !edge.monitor_on_a;
+  }
+  it->second = std::move(edge);
 }
 
 void SnmpCollector::ensure_monitored(const MonitorPoint& point, double capacity_bps) {
@@ -420,8 +420,8 @@ std::vector<std::string> SnmpCollector::discover_l2(const SnmpCollectorConfig::S
   for (const L2PathHop& hop : *path) {
     KnownEdge e;
     e.id = hop.link_id;
-    e.a = label_to_vnode(hop.from_label, src, dst, *src_mac, *dst_mac);
-    e.b = label_to_vnode(hop.to_label, src, dst, *src_mac, *dst_mac);
+    e.a = hop_vnode(hop.from, src, dst, *src_mac, *dst_mac);
+    e.b = hop_vnode(hop.to, src, dst, *src_mac, *dst_mac);
     e.capacity_bps = hop.capacity_bps;
     if (!hop.agent.is_zero()) {
       e.monitor = MonitorPoint{hop.agent, hop.port};
@@ -601,17 +601,29 @@ CollectorResponse SnmpCollector::query(const std::vector<net::Ipv4Address>& node
     }
   }
 
-  // Assemble the response topology from the discovered edges.
-  std::set<std::string> unique_ids(ids.begin(), ids.end());
-  for (const std::string& id : unique_ids) {
+  // Assemble the response topology from the discovered edges, in id
+  // order. Nodes are found by name in a local index, not by the topology's
+  // ensure_node/add_edge, which scan every node and edge per call. The
+  // index views names held by edges_ and `queried`, which outlive it; ids
+  // are unique, so no edge needs add_edge's duplicate merge.
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<VNode> queried;
+  queried.reserve(nodes.size());
+  for (net::Ipv4Address addr : nodes) queried.push_back(node_descriptor(addr));
+  std::unordered_map<std::string_view, VNodeIndex> node_index;
+  auto node_of = [&](const VNode& node) {
+    auto [it, inserted] = node_index.try_emplace(node.name, kNoVNode);
+    if (inserted) it->second = resp.topology.add_node(node);
+    return it->second;
+  };
+  for (const std::string& id : ids) {
     auto it = edges_.find(id);
     if (it == edges_.end()) continue;
     const KnownEdge& ke = it->second;
-    const VNodeIndex ia = resp.topology.ensure_node(ke.a);
-    const VNodeIndex ib = resp.topology.ensure_node(ke.b);
     VEdge ve;
-    ve.a = ia;
-    ve.b = ib;
+    ve.a = node_of(ke.a);
+    ve.b = node_of(ke.b);
     ve.capacity_bps = ke.capacity_bps;
     ve.latency_s = ke.latency_s;
     ve.id = ke.id;
@@ -629,18 +641,18 @@ CollectorResponse SnmpCollector::query(const std::vector<net::Ipv4Address>& node
         }
       }
     }
-    resp.topology.add_edge(std::move(ve));
+    resp.topology.append_edge(std::move(ve));
   }
   // Queried nodes always appear, even when isolated.
-  for (net::Ipv4Address addr : nodes) resp.topology.ensure_node(node_descriptor(addr));
+  for (const VNode& node : queried) node_of(node);
 
   // Response assembly cost: cache reads + marshaling scale with the edges
   // reported (the warm-cache O(N) component of Fig 3).
-  client_.charge(config_.per_edge_processing_s * static_cast<double>(unique_ids.size()));
+  client_.charge(config_.per_edge_processing_s * static_cast<double>(ids.size()));
 
   resp.cost_s = client_.consumed_s() - before;
   resp.complete = complete;
-  sp.attr("edges", unique_ids.size());
+  sp.attr("edges", ids.size());
   sp.attr("cost_s", resp.cost_s);
   sp.attr("complete", resp.complete);
   sim::metrics().histogram("core.snmp_collector.query_cost_s").observe(resp.cost_s);

@@ -199,8 +199,10 @@ class SnmpCollector final : public Collector {
     return ttl_s > 0.0 && engine_.now() - stored_at > ttl_s;
   }
   VNode node_descriptor(net::Ipv4Address addr) const;
-  VNode label_to_vnode(const std::string& label, net::Ipv4Address src, net::Ipv4Address dst,
-                       std::uint64_t src_mac, std::uint64_t dst_mac) const;
+  /// Response node for one element of a bridge path; switch and cloud
+  /// names are the L2Node display forms ("sw@…", "vs:cloud@…").
+  VNode hop_vnode(const L2Node& node, net::Ipv4Address src, net::Ipv4Address dst,
+                  std::uint64_t src_mac, std::uint64_t dst_mac) const;
 
   // --- monitoring ---
   void sample_interface(const MonitorPoint& point, MonitoredIf& m);

@@ -29,8 +29,6 @@ VNodeIndex VirtualTopology::ensure_node(VNode node) {
 }
 
 std::size_t VirtualTopology::add_edge(VEdge edge) {
-  REMOS_CHECK(edge.a < nodes_.size() && edge.b < nodes_.size(),
-              "edge endpoints must reference existing nodes");
   for (std::size_t i = 0; i < edges_.size(); ++i) {
     VEdge& e = edges_[i];
     if (e.id == edge.id && ((e.a == edge.a && e.b == edge.b) || (e.a == edge.b && e.b == edge.a))) {
@@ -44,6 +42,12 @@ std::size_t VirtualTopology::add_edge(VEdge edge) {
       return i;
     }
   }
+  return append_edge(std::move(edge));
+}
+
+std::size_t VirtualTopology::append_edge(VEdge edge) {
+  REMOS_CHECK(edge.a < nodes_.size() && edge.b < nodes_.size(),
+              "edge endpoints must reference existing nodes");
   edges_.push_back(std::move(edge));
   return edges_.size() - 1;
 }

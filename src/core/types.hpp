@@ -69,6 +69,9 @@ class VirtualTopology {
   VNodeIndex ensure_node(VNode node);
   /// Add an edge; duplicate (a,b,id) edges update measurements instead.
   std::size_t add_edge(VEdge edge);
+  /// Add an edge the caller knows duplicates no existing (a,b,id) edge,
+  /// without add_edge's scan of the edge list.
+  std::size_t append_edge(VEdge edge);
 
   [[nodiscard]] VNodeIndex find_by_name(std::string_view name) const;
   [[nodiscard]] VNodeIndex find_by_addr(net::Ipv4Address addr) const;

@@ -1,6 +1,6 @@
 #include "snmp/mib.hpp"
 
-#include <set>
+#include <algorithm>
 #include <string>
 
 #include "core/audit.hpp"
@@ -10,60 +10,213 @@ namespace remos::snmp {
 
 namespace {
 
-/// Row index suffixes present under one table-column prefix.
-std::set<Oid> column_rows(const std::map<Oid, MibView::ValueFn>& objects, const Oid& column) {
-  std::set<Oid> rows;
-  for (auto it = objects.lower_bound(column); it != objects.end(); ++it) {
-    if (!column.is_prefix_of(it->first)) break;
-    rows.insert(it->first.suffix_after(column));
-  }
-  return rows;
+using RowIt = std::vector<std::uint32_t>::const_iterator;
+
+/// Row `r` of a column as a [begin, end) range of OID components.
+RowIt row_begin(const MibView::Column& c, std::size_t r) {
+  return c.rows.begin() + static_cast<std::ptrdiff_t>(r * c.width);
+}
+
+std::size_t row_count(const MibView::Column& c) {
+  return c.width == 0 ? (c.values.empty() ? 0 : 1) : c.rows.size() / c.width;
+}
+
+bool row_less(const MibView::Column& c, std::size_t x, std::size_t y) {
+  return std::lexicographical_compare(row_begin(c, x), row_begin(c, x + 1), row_begin(c, y),
+                                      row_begin(c, y + 1));
+}
+
+/// Truncate a 64-bit octet count to Counter32 semantics (wraps at 2^32).
+Counter32 as_counter32(std::uint64_t octets) {
+  return Counter32{static_cast<std::uint32_t>(octets & 0xFFFFFFFFull)};
+}
+
+/// The column with exactly this prefix, or nullptr.
+const MibView::Column* find_column(const std::vector<MibView::Column>& columns, const Oid& prefix) {
+  auto it = std::lower_bound(columns.begin(), columns.end(), prefix,
+                             [](const MibView::Column& c, const Oid& p) { return c.prefix < p; });
+  return it != columns.end() && it->prefix == prefix ? &*it : nullptr;
 }
 
 /// The row-index sets of every *present* column in a conceptual table must
 /// agree — a GETNEXT table walk pivots between columns by shared index, so
 /// a hole in one column silently truncates or skews the walked table.
 /// Absent columns are legal (quirky agents omit ifSpeed / ipRouteMask).
-void audit_table_columns(const std::map<Oid, MibView::ValueFn>& objects,
-                         const char* table, const std::vector<Oid>& columns) {
-  bool have_reference = false;
-  std::set<Oid> reference;
-  for (const Oid& col : columns) {
-    std::set<Oid> rows = column_rows(objects, col);
-    if (rows.empty()) continue;  // column absent on this agent
-    if (!have_reference) {
-      reference = std::move(rows);
-      have_reference = true;
+void audit_table_columns(const std::vector<MibView::Column>& columns, const char* table,
+                         const std::vector<Oid>& prefixes) {
+  const MibView::Column* reference = nullptr;
+  for (const Oid& prefix : prefixes) {
+    const MibView::Column* col = find_column(columns, prefix);
+    if (col == nullptr) continue;  // column absent on this agent
+    if (reference == nullptr) {
+      reference = col;
       continue;
     }
-    REMOS_AUDIT(kMib, rows == reference,
-                std::string(table) + ": column " + col.to_string() +
+    REMOS_AUDIT(kMib, col->width == reference->width && col->rows == reference->rows,
+                std::string(table) + ": column " + prefix.to_string() +
                     " row-index set disagrees with the table's other columns");
   }
 }
 
 }  // namespace
 
-void MibView::set(Oid oid, ValueFn fn) { objects_[std::move(oid)] = std::move(fn); }
-
 void MibView::set_const(Oid oid, Value value) {
-  objects_[std::move(oid)] = [v = std::move(value)] { return v; };
+  Column column;
+  column.prefix = std::move(oid);
+  column.values.push_back(std::move(value));
+  add_column(std::move(column));
+}
+
+void MibView::add_column(Column column) {
+  REMOS_CHECK(column.width == 0 || column.rows.size() % column.width == 0,
+              "MIB column rows must be whole row suffixes");
+  REMOS_CHECK(column.source == Source::kConst || net_ != nullptr,
+              "live MIB columns need a device to read");
+  const std::size_t n =
+      column.width == 0 ? column.values.size() : column.rows.size() / column.width;
+  const bool constant = column.source == Source::kConst;
+  REMOS_CHECK(!constant || column.values.size() == n,
+              "constant MIB column needs one value per row");
+  bool increasing = true;
+  for (std::size_t r = 1; r < n && increasing; ++r) increasing = row_less(column, r - 1, r);
+  if (!increasing) {
+    // Sort the rows (stable, so the last of equal suffixes is the last
+    // added) and keep one per suffix.
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t x, std::size_t y) { return row_less(column, x, y); });
+    std::vector<std::uint32_t> kept_rows;
+    std::vector<Value> kept_values;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t r = order[k];
+      if (k + 1 < n && !row_less(column, r, order[k + 1])) continue;  // a later duplicate wins
+      kept_rows.insert(kept_rows.end(), row_begin(column, r), row_begin(column, r + 1));
+      if (constant) kept_values.push_back(std::move(column.values[r]));
+    }
+    column.rows = std::move(kept_rows);
+    if (constant) column.values = std::move(kept_values);
+  }
+  const std::size_t rows = row_count(column);
+  if (rows == 0) return;
+
+  auto it = std::lower_bound(columns_.begin(), columns_.end(), column.prefix,
+                             [](const Column& c, const Oid& p) { return c.prefix < p; });
+  if (it != columns_.end() && it->prefix == column.prefix) {
+    object_count_ -= row_count(*it);
+    *it = std::move(column);
+  } else {
+    REMOS_CHECK(it == columns_.begin() || !std::prev(it)->prefix.is_prefix_of(column.prefix),
+                "MIB column " + column.prefix.to_string() + " nests inside another column");
+    REMOS_CHECK(it == columns_.end() || !column.prefix.is_prefix_of(it->prefix),
+                "MIB column " + column.prefix.to_string() + " contains another column");
+    columns_.insert(it, std::move(column));
+  }
+  object_count_ += rows;
+}
+
+VarBind MibView::bind(const Column& c, std::size_t row) const {
+  std::vector<std::uint32_t> parts;
+  parts.reserve(c.prefix.size() + c.width);
+  parts.insert(parts.end(), c.prefix.parts().begin(), c.prefix.parts().end());
+  parts.insert(parts.end(), row_begin(c, row), row_begin(c, row + 1));
+  VarBind vb{Oid(std::move(parts)), {}};
+  switch (c.source) {
+    case Source::kConst: vb.value = c.values[row]; break;
+    case Source::kIfInOctets:
+      vb.value = as_counter32(net_->node(node_).find_interface(*row_begin(c, row))->in_octets);
+      break;
+    case Source::kIfOutOctets:
+      vb.value = as_counter32(net_->node(node_).find_interface(*row_begin(c, row))->out_octets);
+      break;
+    case Source::kFdbPort: {
+      std::uint64_t mac = 0;
+      for (auto it = row_begin(c, row); it != row_begin(c, row + 1); ++it) {
+        mac = (mac << 8) | (*it & 0xFF);
+      }
+      const auto& fdb = net_->node(node_).fdb;
+      auto port = fdb.find(mac);
+      vb.value = static_cast<std::int64_t>(port == fdb.end() ? 0 : port->second);
+      break;
+    }
+  }
+  return vb;
 }
 
 std::optional<VarBind> MibView::get(const Oid& oid) const {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) return std::nullopt;
-  return VarBind{it->first, it->second()};
+  // The last column whose prefix is <= oid is the only one that can hold
+  // it: columns are disjoint subtrees.
+  auto it = std::upper_bound(columns_.begin(), columns_.end(), oid,
+                             [](const Oid& o, const Column& c) { return o < c.prefix; });
+  if (it == columns_.begin()) return std::nullopt;
+  const Column& c = *std::prev(it);
+  if (oid.size() != c.prefix.size() + c.width || !c.prefix.is_prefix_of(oid)) return std::nullopt;
+  const auto key = oid.parts().begin() + static_cast<std::ptrdiff_t>(c.prefix.size());
+  const std::size_t n = row_count(c);
+  std::size_t lo = 0, hi = n;
+  while (lo < hi) {  // first row >= key
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (std::lexicographical_compare(row_begin(c, mid), row_begin(c, mid + 1), key,
+                                     oid.parts().end())) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == n || !std::equal(row_begin(c, lo), row_begin(c, lo + 1), key)) return std::nullopt;
+  return bind(c, lo);
 }
 
 std::optional<VarBind> MibView::get_next(const Oid& oid) const {
-  auto it = objects_.upper_bound(oid);
-  if (it == objects_.end()) return std::nullopt;
-  return VarBind{it->first, it->second()};
+  // Columns before the last one with prefix <= oid hold only smaller OIDs,
+  // columns after it only larger ones; that last column can hold both when
+  // its prefix is a prefix of oid.
+  auto it = std::upper_bound(columns_.begin(), columns_.end(), oid,
+                             [](const Oid& o, const Column& c) { return o < c.prefix; });
+  if (it != columns_.begin()) {
+    const Column& c = *std::prev(it);
+    if (c.prefix.is_prefix_of(oid)) {
+      const auto tail = oid.parts().begin() + static_cast<std::ptrdiff_t>(c.prefix.size());
+      std::size_t lo = 0, hi = row_count(c);
+      while (lo < hi) {  // first row > tail
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (std::lexicographical_compare(tail, oid.parts().end(), row_begin(c, mid),
+                                         row_begin(c, mid + 1))) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      if (lo < row_count(c)) return bind(c, lo);
+    }
+  }
+  if (it == columns_.end()) return std::nullopt;
+  return bind(*it, 0);
 }
 
 void MibView::audit() const {
   if constexpr (!core::audit::kEnabled) return;
+  // Layout: columns strictly increasing and disjoint, rows strictly
+  // increasing inside each column — what the binary searches rely on.
+  std::size_t objects = 0;
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    const Column& c = columns_[i];
+    if (i > 0) {
+      const Column& prev = columns_[i - 1];
+      REMOS_AUDIT(kMib, prev.prefix < c.prefix && !prev.prefix.is_prefix_of(c.prefix),
+                  "MIB columns not sorted and disjoint at " + c.prefix.to_string());
+    }
+    const std::size_t n = row_count(c);
+    REMOS_AUDIT(kMib, c.source != Source::kConst || c.values.size() == n,
+                "MIB column " + c.prefix.to_string() + " value count disagrees with its rows");
+    for (std::size_t r = 1; r < n; ++r) {
+      REMOS_AUDIT(kMib, row_less(c, r - 1, r),
+                  "MIB column " + c.prefix.to_string() + " rows not strictly increasing");
+    }
+    objects += n;
+  }
+  REMOS_AUDIT(kMib, objects == object_count_, "MIB object count disagrees with its columns");
+
   // GETNEXT termination: starting from the empty OID, stepping with
   // get_next must yield strictly increasing OIDs and reach the end in
   // exactly object_count() steps. Any equal-or-smaller step would make a
@@ -83,13 +236,13 @@ void MibView::audit() const {
               "GETNEXT walk visited " + std::to_string(steps) + " of " +
                   std::to_string(object_count()) + " objects");
 
-  audit_table_columns(objects_, "ifTable",
+  audit_table_columns(columns_, "ifTable",
                       {oids::kIfIndex, oids::kIfDescr, oids::kIfType, oids::kIfSpeed,
                        oids::kIfInOctets, oids::kIfOutOctets});
-  audit_table_columns(objects_, "ipRouteTable",
+  audit_table_columns(columns_, "ipRouteTable",
                       {oids::kIpRouteDest, oids::kIpRouteIfIndex, oids::kIpRouteNextHop,
                        oids::kIpRouteType, oids::kIpRouteMask});
-  audit_table_columns(objects_, "dot1dTpFdbTable",
+  audit_table_columns(columns_, "dot1dTpFdbTable",
                       {oids::kDot1dTpFdbAddress, oids::kDot1dTpFdbPort, oids::kDot1dTpFdbStatus});
 }
 
@@ -104,9 +257,14 @@ void audit_walk_order(const std::vector<VarBind>& binds) {
 
 namespace {
 
-/// Truncate a 64-bit octet count to Counter32 semantics (wraps at 2^32).
-Counter32 as_counter32(std::uint64_t octets) {
-  return Counter32{static_cast<std::uint32_t>(octets & 0xFFFFFFFFull)};
+/// A column under `prefix` whose rows are `width` components wide.
+MibView::Column column(const Oid& prefix, std::uint32_t width,
+                       MibView::Source source = MibView::Source::kConst) {
+  MibView::Column c;
+  c.prefix = prefix;
+  c.width = width;
+  c.source = source;
+  return c;
 }
 
 void add_system_group(MibView& view, const net::Network& net, net::NodeId id) {
@@ -120,47 +278,61 @@ void add_if_table(MibView& view, const net::Network& net, net::NodeId id,
                   const MibQuirks& quirks) {
   const net::Node& n = net.node(id);
   view.set_const(oids::kIfNumber, static_cast<std::int64_t>(n.interfaces.size()));
+  MibView::Column index = column(oids::kIfIndex, 1);
+  MibView::Column descr = column(oids::kIfDescr, 1);
+  MibView::Column type = column(oids::kIfType, 1);
+  MibView::Column speed = column(oids::kIfSpeed, 1);
+  // Counters read live (and wrap) — the collector must difference them.
+  MibView::Column in = column(oids::kIfInOctets, 1, MibView::Source::kIfInOctets);
+  MibView::Column out = column(oids::kIfOutOctets, 1, MibView::Source::kIfOutOctets);
   for (const net::Interface& ifc : n.interfaces) {
     const std::uint32_t idx = ifc.ifindex;
-    view.set_const(oids::kIfIndex.child(idx), static_cast<std::int64_t>(idx));
-    view.set_const(oids::kIfDescr.child(idx), ifc.descr);
-    view.set_const(oids::kIfType.child(idx), oids::kIfTypeEthernet);
-    if (!quirks.hide_if_speed) {
-      // ifSpeed is Gauge32 in bits/second; saturates like real agents do.
-      const std::uint64_t speed = ifc.speed_bps;
-      const std::uint32_t reported =
-          speed > 0xFFFFFFFFull ? 0xFFFFFFFFu : static_cast<std::uint32_t>(speed);
-      view.set_const(oids::kIfSpeed.child(idx), Gauge32{reported});
-    }
-    // Counters read live (and wrap) — the collector must difference them.
-    view.set(oids::kIfInOctets.child(idx), [&net, id, idx] {
-      return Value{as_counter32(net.node(id).find_interface(idx)->in_octets)};
-    });
-    view.set(oids::kIfOutOctets.child(idx), [&net, id, idx] {
-      return Value{as_counter32(net.node(id).find_interface(idx)->out_octets)};
-    });
+    for (MibView::Column* c : {&index, &descr, &type, &speed, &in, &out}) c->rows.push_back(idx);
+    index.values.emplace_back(static_cast<std::int64_t>(idx));
+    descr.values.emplace_back(ifc.descr);
+    type.values.emplace_back(oids::kIfTypeEthernet);
+    // ifSpeed is Gauge32 in bits/second; saturates like real agents do.
+    const std::uint64_t bps = ifc.speed_bps;
+    speed.values.emplace_back(
+        Gauge32{bps > 0xFFFFFFFFull ? 0xFFFFFFFFu : static_cast<std::uint32_t>(bps)});
   }
+  view.add_column(std::move(index));
+  view.add_column(std::move(descr));
+  view.add_column(std::move(type));
+  if (!quirks.hide_if_speed) view.add_column(std::move(speed));
+  view.add_column(std::move(in));
+  view.add_column(std::move(out));
 }
 
 void add_route_table(MibView& view, const net::Network& net, net::NodeId id,
                      const MibQuirks& quirks) {
   const net::Node& n = net.node(id);
+  MibView::Column dest = column(oids::kIpRouteDest, 4);
+  MibView::Column ifindex = column(oids::kIpRouteIfIndex, 4);
+  MibView::Column next = column(oids::kIpRouteNextHop, 4);
+  MibView::Column type = column(oids::kIpRouteType, 4);
+  MibView::Column mask = column(oids::kIpRouteMask, 4);
   for (const net::Route& r : n.routes) {
-    const Oid index = oids::ip_index(r.dest.base());
+    const std::uint32_t v = r.dest.base().value();
+    for (MibView::Column* c : {&dest, &ifindex, &next, &type, &mask}) {
+      c->rows.insert(c->rows.end(),
+                     {(v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF});
+    }
     const net::Ipv4Address next_hop =
         quirks.force_next_hop.is_zero() ? r.next_hop : quirks.force_next_hop;
-    view.set_const(oids::kIpRouteDest.concat(index), r.dest.base());
-    view.set_const(oids::kIpRouteIfIndex.concat(index), static_cast<std::int64_t>(r.out_ifindex));
-    view.set_const(oids::kIpRouteNextHop.concat(index), next_hop);
-    view.set_const(oids::kIpRouteType.concat(index),
-                   next_hop.is_zero() ? oids::kRouteTypeDirect : oids::kRouteTypeIndirect);
-    if (!quirks.hide_route_mask) {
-      const net::Ipv4Address mask = quirks.corrupt_route_mask
-                                        ? net::Ipv4Address(0xFF00FF00u)
-                                        : net::Ipv4Address(r.dest.netmask());
-      view.set_const(oids::kIpRouteMask.concat(index), mask);
-    }
+    dest.values.emplace_back(r.dest.base());
+    ifindex.values.emplace_back(static_cast<std::int64_t>(r.out_ifindex));
+    next.values.emplace_back(next_hop);
+    type.values.emplace_back(next_hop.is_zero() ? oids::kRouteTypeDirect
+                                                : oids::kRouteTypeIndirect);
+    mask.values.emplace_back(quirks.corrupt_route_mask ? net::Ipv4Address(0xFF00FF00u)
+                                                       : net::Ipv4Address(r.dest.netmask()));
   }
+  view.add_column(std::move(dest));
+  view.add_column(std::move(ifindex));
+  view.add_column(std::move(next));
+  view.add_column(std::move(type));
+  if (!quirks.hide_route_mask) view.add_column(std::move(mask));
 }
 
 void add_bridge_mib(MibView& view, const net::Network& net, net::NodeId id) {
@@ -168,28 +340,33 @@ void add_bridge_mib(MibView& view, const net::Network& net, net::NodeId id) {
   view.set_const(oids::kDot1dBaseNumPorts, static_cast<std::int64_t>(n.interfaces.size()));
   // Row keys are the MACs present at build time; the *port* values read
   // live so host moves inside the segment show up without a rebuild.
-  for (const auto& [mac, port] : n.fdb) {
-    (void)port;
-    const Oid index = oids::mac_index(mac);
+  MibView::Column address = column(oids::kDot1dTpFdbAddress, 6);
+  MibView::Column port = column(oids::kDot1dTpFdbPort, 6, MibView::Source::kFdbPort);
+  MibView::Column status = column(oids::kDot1dTpFdbStatus, 6);
+  // Rows in MAC order are rows in OID order: the six octets are big-endian.
+  std::vector<std::uint64_t> macs;
+  macs.reserve(n.fdb.size());
+  for (const auto& [mac, p] : n.fdb) macs.push_back(mac);
+  std::sort(macs.begin(), macs.end());
+  for (std::uint64_t mac : macs) {
     std::string mac_octets(6, '\0');
     for (int i = 0; i < 6; ++i) {
-      mac_octets[static_cast<std::size_t>(i)] =
-          static_cast<char>((mac >> (40 - 8 * i)) & 0xFF);
+      const auto octet = static_cast<std::uint32_t>((mac >> (40 - 8 * i)) & 0xFF);
+      mac_octets[static_cast<std::size_t>(i)] = static_cast<char>(octet);
+      for (MibView::Column* c : {&address, &port, &status}) c->rows.push_back(octet);
     }
-    view.set_const(oids::kDot1dTpFdbAddress.concat(index), std::move(mac_octets));
-    view.set(oids::kDot1dTpFdbPort.concat(index), [&net, id, mac = mac]() -> Value {
-      const auto& fdb = net.node(id).fdb;
-      auto it = fdb.find(mac);
-      return static_cast<std::int64_t>(it == fdb.end() ? 0 : it->second);
-    });
-    view.set_const(oids::kDot1dTpFdbStatus.concat(index), oids::kFdbStatusLearned);
+    address.values.emplace_back(std::move(mac_octets));
+    status.values.emplace_back(oids::kFdbStatusLearned);
   }
+  view.add_column(std::move(address));
+  view.add_column(std::move(port));
+  view.add_column(std::move(status));
 }
 
 }  // namespace
 
 MibView build_device_mib(const net::Network& net, net::NodeId id, const MibQuirks& quirks) {
-  MibView view;
+  MibView view(net, id);
   add_system_group(view, net, id);
   add_if_table(view, net, id, quirks);
   const net::Node& n = net.node(id);
